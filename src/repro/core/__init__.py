@@ -5,7 +5,7 @@ Modules:
 - ``ranges``:  vectorized interval / run-scan primitives shared by the
   compression kernel and the in-situ query processor.
 - ``model``:   naming conventions for lineage relations and their
-  compressed representation (lo/hi pairs, delta columns).
+  compressed representation (lo/hi pairs, rep codes).
 - ``provrc``:  the pandas/numpy ProvRC kernel — multi-attribute range
   encoding, relative value transformation, decompression, and query
   encoding. Exact per-paper semantics; unit-tested against the paper's

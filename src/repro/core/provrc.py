@@ -13,11 +13,18 @@ DESIGN.md:
 - the delta sign is ``value - key`` (the paper's tables and ``rel_back``
   require it, its prose says the opposite);
 - during step-2 passes *all* surviving representations of a value
-  attribute are retained, and pruning to a single representation happens
-  in ``finalize``. Pruning eagerly (as a literal reading suggests) would
-  destroy later merge opportunities — e.g. the paper's own forward table
-  (Table III) is only reachable if the ``b-a`` delta survives the first
-  output pass even though the absolute value also survived it.
+  attribute are retained (float64 candidate columns, NaN = absent), and
+  pruning to a single representation happens in ``finalize``. Pruning
+  eagerly (as a literal reading suggests) would destroy later merge
+  opportunities — e.g. the paper's own forward table (Table III) is only
+  reachable if the ``b-a`` delta survives the first output pass even
+  though the absolute value also survived it.
+
+``finalize`` emits the only post-compression layout, shared by the
+kernel, the file format (``storage``) and Spark: all int64 columns
+``interval_columns(schema)`` — ``k_lo, k_hi`` per key attribute, then
+``v_rep, v_lo, v_hi`` per value attribute, where ``v_rep`` is 0 for an
+absolute interval and ``1 + j`` for a delta relative to key ``j``.
 
 Losslessness: a compressed row denotes the tuple set obtained by expanding
 key ranges (Cartesian) and then each value attribute either from its
@@ -69,6 +76,13 @@ def _encode_value_pass(df: pd.DataFrame, target: str, other_cols: list[str]) -> 
     agg = {c: "first" for c in df.columns}
     agg[rg.hi(target)] = "last"
     return df.groupby(run_id, sort=False).agg(agg).reset_index(drop=True)
+
+
+def _range_encode(work: pd.DataFrame, targets: list[str], cols: list[str]) -> pd.DataFrame:
+    """Step-1 passes: one ``_encode_value_pass`` per target, last first."""
+    for target in reversed(targets):
+        work = _encode_value_pass(work, target, [c for c in cols if c != target])
+    return work
 
 
 def _candidates(val: str, key_cols: tuple[str, ...]) -> list[str]:
@@ -209,68 +223,94 @@ def _scan_key_pass(
     return out
 
 
-def compress(df: pd.DataFrame, schema: LineageSchema, *, prune: bool = True) -> pd.DataFrame:
-    """Run the full ProvRC algorithm on an uncompressed lineage relation.
+def interval_columns(schema: LineageSchema) -> list[str]:
+    """Columns of a finalized compressed table, in order (all int64)."""
+    cols = [c for k in schema.key_cols for c in (rg.lo(k), rg.hi(k))]
+    return cols + [c for v in schema.val_cols for c in (rg.rep(v), rg.lo(v), rg.hi(v))]
 
-    ``df`` has one scalar integer column per axis (``schema.full_cols``);
-    duplicate rows are dropped first (set semantics). Returns the
-    compressed interval table; with ``prune`` (default) each value
-    attribute keeps exactly one representation, matching the paper's
-    tables.
+
+def _encode_values(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
+    """Step 1 (value range encoding) plus the relative value transformation.
+
+    Returns the candidate form the step-2 key passes consume: every
+    attribute as an interval, and every ``value - key`` delta. Keys are
+    still scalar here, so a delta is ``[v_lo - k, v_hi - k]``.
     """
     cols = list(schema.key_cols) + list(schema.val_cols)
-    work = to_intervals(df.drop_duplicates(subset=list(schema.full_cols)), cols)
-    # Step 1: multi-attribute range encoding over value attributes.
-    for i in range(len(schema.val_cols) - 1, -1, -1):
-        target = schema.val_cols[i]
-        others = [c for c in cols if c != target]
-        work = _encode_value_pass(work, target, others)
-    # Step 2: relative value transformation (keys are still scalar here) …
+    work = _range_encode(to_intervals(df, cols), list(schema.val_cols), cols)
     for v in schema.val_cols:
         for k in schema.key_cols:
             d = rg.delta(v, k)
             work[rg.lo(d)] = work[rg.lo(v)] - work[rg.lo(k)]
             work[rg.hi(d)] = work[rg.hi(v)] - work[rg.lo(k)]
-    # … then range encoding over key attributes.
+    return work
+
+
+def compress(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
+    """Run the full ProvRC algorithm on an uncompressed lineage relation.
+
+    ``df`` has one scalar integer column per axis (``schema.full_cols``);
+    duplicate rows are dropped first (set semantics). Returns the
+    finalized compressed table (``interval_columns(schema)``), in which
+    each value attribute keeps exactly one representation, matching the
+    paper's tables.
+    """
+    work = _encode_values(df.drop_duplicates(subset=list(schema.full_cols)), schema)
     for j in range(len(schema.key_cols) - 1, -1, -1):
         target = schema.key_cols[j]
         others = [c for c in schema.key_cols if c != target]
         work = _encode_key_pass(work, target, others, schema.val_cols, schema.key_cols)
-    return finalize(work, schema) if prune else work
+    return finalize(work, schema)
 
 
 def finalize(cdf: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
-    """Prune each value attribute to a single representation.
+    """Prune the candidate form to one representation per value attribute.
 
     Absolute is preferred (paper pattern (2) over (3)); otherwise the
-    first non-null delta is kept. All other representations are nulled.
+    first surviving delta is kept. Returns the finalized int64 layout
+    ``interval_columns(schema)``.
     """
-    cdf = cdf.copy()
+    rows = np.arange(len(cdf))
+    out = {}
+    for k in schema.key_cols:
+        out[rg.lo(k)] = cdf[rg.lo(k)].to_numpy()
+        out[rg.hi(k)] = cdf[rg.hi(k)].to_numpy()
     for v in schema.val_cols:
         cands = _candidates(v, schema.key_cols)
-        chosen = np.full(len(cdf), -1)
-        for ci, c in enumerate(cands):
-            avail = ~np.isnan(cdf[rg.lo(c)].to_numpy())
-            chosen = np.where((chosen == -1) & avail, ci, chosen)
-        if (chosen == -1).any():
+        los = np.column_stack([cdf[rg.lo(c)].to_numpy() for c in cands])
+        his = np.column_stack([cdf[rg.hi(c)].to_numpy() for c in cands])
+        avail = ~np.isnan(los)
+        if not avail.any(axis=1).all():
             raise ValueError(f"value attribute {v} has no representation in some rows")
-        for ci, c in enumerate(cands):
-            kill = chosen != ci
-            if kill.any():
-                cdf.loc[kill, [rg.lo(c), rg.hi(c)]] = np.nan
-    return cdf
+        code = avail.argmax(axis=1)
+        out[rg.rep(v)] = code
+        out[rg.lo(v)] = los[rows, code]
+        out[rg.hi(v)] = his[rows, code]
+    return pd.DataFrame(out, columns=interval_columns(schema)).astype("int64")
 
 
-def representation_of(cdf: pd.DataFrame, v: str, schema: LineageSchema) -> pd.Series:
-    """Per row, which representation a value attribute uses: 'abs' or a key name."""
-    out = pd.Series("?", index=cdf.index)
-    done = np.zeros(len(cdf), dtype=bool)
-    for name, c in [("abs", v)] + [(k, rg.delta(v, k)) for k in schema.key_cols]:
-        avail = ~np.isnan(cdf[rg.lo(c)].to_numpy()) & ~done
-        out[avail] = name
-        done |= avail
-    if (out == "?").any():
-        raise ValueError(f"value attribute {v} unrepresented")
+def absolute_values(
+    cdf: pd.DataFrame,
+    schema: LineageSchema,
+    key_lo: list[np.ndarray],
+    key_hi: list[np.ndarray],
+) -> pd.DataFrame:
+    """Absolute ``lo``/``hi`` of every value attribute (the paper's rel_back).
+
+    A value stored relative to key ``j`` with delta ``[d1, d2]``, over key
+    interval ``[x1, x2]`` (``key_lo[j]``, ``key_hi[j]``), covers exactly
+    ``[x1 + d1, x2 + d2]``. One gather per value attribute:
+    ``lo + [0, k0_lo, k1_lo, …][rep]``, and the same for ``hi``.
+    """
+    rows = np.arange(len(cdf))
+    zero = np.zeros(len(cdf), dtype=np.int64)
+    lo_shift = np.column_stack([zero, *key_lo])
+    hi_shift = np.column_stack([zero, *key_hi])
+    out = pd.DataFrame(index=cdf.index)
+    for v in schema.val_cols:
+        code = cdf[rg.rep(v)].to_numpy()
+        out[rg.lo(v)] = cdf[rg.lo(v)].to_numpy() + lo_shift[rows, code]
+        out[rg.hi(v)] = cdf[rg.hi(v)].to_numpy() + hi_shift[rows, code]
     return out
 
 
@@ -282,35 +322,15 @@ def decompress(cdf: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     range or as ``key + delta`` per expanded key value. Output columns are
     ``schema.full_cols`` as int64, deduplicated and sorted.
     """
-    if cdf.empty:
-        return pd.DataFrame(
-            {c: pd.Series(dtype="int64") for c in schema.full_cols}
-        )
-    work = cdf.copy().reset_index(drop=True)
+    work = cdf.reset_index(drop=True)
     for k in schema.key_cols:
         work = rg.explode_interval(work, k, f"__{k}")
-    parts = []
-    reps = {v: representation_of(work, v, schema) for v in schema.val_cols}
-    # Group rows by their joint representation pattern so each group can
-    # be vectorized.
-    if schema.val_cols:
-        key = pd.concat(reps, axis=1).agg("|".join, axis=1)
-    else:
-        key = pd.Series("", index=work.index)
-    for _, idx in key.groupby(key).groups.items():
-        sub = work.loc[idx].copy()
-        for v in schema.val_cols:
-            rep = reps[v].loc[idx].iloc[0]
-            if rep == "abs":
-                pass  # interval already absolute
-            else:
-                d = rg.delta(v, rep)
-                sub[rg.lo(v)] = sub[f"__{rep}"] + sub[rg.lo(d)]
-                sub[rg.hi(v)] = sub[f"__{rep}"] + sub[rg.hi(d)]
-            sub = rg.explode_interval(sub, v, f"__{v}")
-        parts.append(sub)
-    full = pd.concat(parts, ignore_index=True) if parts else work
-    out = pd.DataFrame({c: full[f"__{c}"].astype("int64") for c in schema.full_cols})
+    keys = [work[f"__{k}"].to_numpy() for k in schema.key_cols]
+    vals = absolute_values(work, schema, keys, keys)
+    work = pd.concat([work[[f"__{k}" for k in schema.key_cols]], vals], axis=1)
+    for v in schema.val_cols:
+        work = rg.explode_interval(work, v, f"__{v}")
+    out = pd.DataFrame({c: work[f"__{c}"].astype("int64") for c in schema.full_cols})
     return (
         out.drop_duplicates()
         .sort_values(list(schema.full_cols), kind="mergesort")
@@ -326,8 +346,4 @@ def encode_query(cells: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
     multi-attribute range encoding as ProvRC step 1 — the paper's Q'.
     """
     work = to_intervals(cells.drop_duplicates(), cols)
-    for i in range(len(cols) - 1, -1, -1):
-        target = cols[i]
-        others = [c for c in cols if c != target]
-        work = _encode_value_pass(work, target, others)
-    return work.reset_index(drop=True)
+    return _range_encode(work, cols, cols).reset_index(drop=True)

@@ -1,9 +1,11 @@
 """Vectorized interval and run-scan primitives.
 
-All compressed columns are closed integer intervals ``[lo, hi]`` stored as
-two float64 columns (NaN = absent). float64 represents integers exactly up
-to 2**53, far beyond any array index handled here; the Spark boundary casts
-back to longs.
+Every attribute is a closed integer interval ``[lo, hi]`` stored as two
+columns. A finalized compressed table (``provrc.interval_columns``) is all
+int64: key ``lo``/``hi`` pairs plus, per value attribute, a ``rep`` code
+and the chosen representation's ``lo``/``hi``. Only the candidate columns
+inside ProvRC's step-2 key passes are float64 with NaN = absent; float64
+represents integers exactly up to 2**53, far beyond any array index here.
 """
 from __future__ import annotations
 
@@ -19,6 +21,12 @@ def lo(col: str) -> str:
 def hi(col: str) -> str:
     """Name of the upper-bound column for logical attribute ``col``."""
     return f"{col}_hi"
+
+
+def rep(col: str) -> str:
+    """Name of the representation-code column of value attribute ``col``:
+    0 = absolute, 1 + j = relative to key attribute j (the file's codes)."""
+    return f"{col}_rep"
 
 
 def delta(val: str, key: str) -> str:

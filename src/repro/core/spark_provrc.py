@@ -16,43 +16,33 @@ inside each bucket. Concretely:
   axis the pass is one global group (a genuinely sequential scan — the
   paper's worst case, e.g. Sort).
 
-The output is a Spark DataFrame of interval columns (doubles, NaN =
-absent representation), collectable into the pandas kernel's compressed
-format or persisted via ``insitu.store``.
+Between passes rows travel in the kernel's private candidate form
+(doubles, NaN = absent representation). The final ``mapInPandas`` runs
+``provrc.finalize`` and emits the finalized layout shared with the kernel
+and the file format: ``interval_columns(schema)`` as non-nullable longs,
+collectable into the pandas kernel's table or persisted via
+``insitu.store``.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
+from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core import ranges as rg
 from repro.core.model import LineageSchema
 from repro.core import provrc
+from repro.core.provrc import interval_columns
 
 _BUCKET = "__bucket"
 
 
-def interval_columns(schema: LineageSchema) -> list[str]:
-    cols = []
-    for c in list(schema.key_cols) + list(schema.val_cols):
-        cols += [rg.lo(c), rg.hi(c)]
-    for v in schema.val_cols:
-        for k in schema.key_cols:
-            d = rg.delta(v, k)
-            cols += [rg.lo(d), rg.hi(d)]
-    return cols
-
-
-def interval_schema_str(schema: LineageSchema) -> str:
-    return ", ".join(f"`{c}` double" for c in interval_columns(schema))
-
-
-def _ensure_all_columns(pdf: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
-    for c in interval_columns(schema):
-        if c not in pdf.columns:
-            pdf[c] = np.nan
-    return pdf[interval_columns(schema)]
+def _candidate_columns(schema: LineageSchema) -> list[str]:
+    """Columns of the candidate form exchanged between encoding passes."""
+    attrs = list(schema.key_cols + schema.val_cols) + [
+        rg.delta(v, k) for v in schema.val_cols for k in schema.key_cols
+    ]
+    return [c for a in attrs for c in (rg.lo(a), rg.hi(a))]
 
 
 def compress_spark(
@@ -60,28 +50,16 @@ def compress_spark(
 ) -> DataFrame:
     """Compress a full lineage relation (integer columns per axis) with
     ProvRC, executing every encoding pass per-partition in executors."""
-    spark = df.sparkSession
     key_cols = list(schema.key_cols)
     val_cols = list(schema.val_cols)
-    out_schema = interval_schema_str(schema)
+    cand_cols = _candidate_columns(schema)
+    out_schema = ", ".join(f"`{c}` double" for c in cand_cols)
 
     df = df.dropDuplicates(list(schema.full_cols))
 
     # Phase A: all step-1 (value) passes, bucketed by the key columns.
     def step1(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.drop(columns=[_BUCKET])
-        work = provrc.to_intervals(pdf, key_cols + val_cols)
-        for i in range(len(val_cols) - 1, -1, -1):
-            target = val_cols[i]
-            others = [c for c in key_cols + val_cols if c != target]
-            work = provrc._encode_value_pass(work, target, others)
-        # Relative value transformation (keys are scalar inside phase A).
-        for v in val_cols:
-            for k in key_cols:
-                d = rg.delta(v, k)
-                work[rg.lo(d)] = work[rg.lo(v)] - work[rg.lo(k)]
-                work[rg.hi(d)] = work[rg.hi(v)] - work[rg.lo(k)]
-        return _ensure_all_columns(work, schema)
+        return provrc._encode_values(pdf.drop(columns=[_BUCKET]), schema)[cand_cols]
 
     bucketed = df.withColumn(
         _BUCKET, F.pmod(F.xxhash64(*[F.col(c) for c in key_cols]), F.lit(n_buckets))
@@ -95,7 +73,7 @@ def compress_spark(
             out = provrc._encode_key_pass(
                 pdf, target, others, tuple(val_cols), tuple(key_cols)
             )
-            return _ensure_all_columns(out, schema)
+            return out[cand_cols]
 
         return key_pass
 
@@ -122,9 +100,12 @@ def compress_spark(
     def fin(it):
         for pdf in it:
             if len(pdf):
-                yield _ensure_all_columns(provrc.finalize(pdf, schema), schema)
+                yield provrc.finalize(pdf, schema)
 
-    return work.mapInPandas(fin, out_schema)
+    final_schema = StructType(
+        [StructField(c, LongType(), nullable=False) for c in interval_columns(schema)]
+    )
+    return work.mapInPandas(fin, final_schema)
 
 
 def collect_compressed(cdf: DataFrame) -> pd.DataFrame:

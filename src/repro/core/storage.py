@@ -3,9 +3,12 @@
 The format stores, per row: every key interval (int32 lo/hi) and, per
 value attribute, a one-byte representation code (0 = absolute, 1+j =
 delta vs key axis j) plus the int32 lo/hi of the chosen representation —
-exactly the information in the paper's finalized tables. ``ProvRC-GZip``
-gzips the same payload; the paper applies it by default because it wins
-on unstructured lineage at negligible cost for structured lineage.
+exactly the information in the paper's finalized tables, and exactly the
+columns of the in-memory finalized table (``provrc.interval_columns``),
+so ``serialize`` is a near-copy and ``deserialize`` returns that table
+directly. ``ProvRC-GZip`` gzips the same payload; the paper applies it by
+default because it wins on unstructured lineage at negligible cost for
+structured lineage.
 
 Layout (little-endian), version 2:
   magic ``PRVC`` | version u8 | direction u8 (0=backward, 1=forward)
@@ -19,6 +22,10 @@ consecutive scalar keys (the dominant shape in semi-structured lineage,
 e.g. Sort) the delta stream is all 1s and the width stream all 0s, which
 the GZip stage then collapses — mirroring how the paper's ProvRC file
 for Sort lands near the columnar baselines instead of above Raw.
+
+``deserialize`` rejects malformed input (bad magic, version or direction,
+a truncated stream, a representation code above ``n_key``, trailing
+bytes) with a ``ValueError`` naming the format.
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ import pandas as pd
 
 from repro.core import ranges as rg
 from repro.core.model import LineageSchema, backward_schema, forward_schema
-from repro.core.provrc import representation_of
+from repro.core.provrc import interval_columns
 
 _MAGIC = b"PRVC"
 _VERSION = 2
@@ -49,24 +56,32 @@ def _put_stream(parts: list[bytes], arr: np.ndarray) -> None:
 
 
 def _take_stream(buf: bytes, off: int, dtype: str, n: int) -> tuple[np.ndarray, int]:
+    if off >= len(buf):
+        raise ValueError(f"truncated ProvRC file: stream at byte {off} is missing")
     flag = buf[off]
-    off += 1
-    item = np.dtype(dtype).itemsize
+    if flag not in (0, 1):
+        raise ValueError(f"corrupt ProvRC file: bad stream flag {flag} at byte {off}")
+    count = 1 if flag == 1 else n
+    size = np.dtype(dtype).itemsize * count
+    if off + 1 + size > len(buf):
+        raise ValueError(
+            f"truncated ProvRC file: stream at byte {off} needs {size} bytes, "
+            f"{len(buf) - off - 1} left"
+        )
+    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=off + 1)
     if flag == 1:
-        val = np.frombuffer(buf, dtype=dtype, count=1, offset=off)
-        off += item
-        return np.full(n, val[0], dtype=dtype), off
-    arr = np.frombuffer(buf, dtype=dtype, count=n, offset=off)
-    off += arr.nbytes
-    return arr, off
+        arr = np.full(n, arr[0], dtype=dtype)
+    return arr, off + 1 + size
+
+
+def _lo_width(cdf: pd.DataFrame, col: str) -> tuple[np.ndarray, np.ndarray]:
+    lo_v = cdf[rg.lo(col)].to_numpy(dtype="int64")
+    return lo_v, cdf[rg.hi(col)].to_numpy(dtype="int64") - lo_v
 
 
 def serialize(cdf: pd.DataFrame, schema: LineageSchema) -> bytes:
-    n = len(cdf)
-    if n:
-        cdf = cdf.sort_values(
-            [rg.lo(k) for k in schema.key_cols], kind="mergesort"
-        ).reset_index(drop=True)
+    """Encode a finalized compressed table (``provrc.interval_columns``)."""
+    cdf = cdf.sort_values([rg.lo(k) for k in schema.key_cols], kind="mergesort")
     parts = [
         _MAGIC,
         struct.pack(
@@ -75,84 +90,63 @@ def serialize(cdf: pd.DataFrame, schema: LineageSchema) -> bytes:
             0 if schema.direction == "backward" else 1,
             schema.n_key,
             schema.n_val,
-            n,
+            len(cdf),
         ),
     ]
     for k in schema.key_cols:
-        lo_v = cdf[rg.lo(k)].to_numpy().astype("int64")
-        hi_v = cdf[rg.hi(k)].to_numpy().astype("int64")
-        dlo = np.diff(lo_v, prepend=np.int64(0)) if n else lo_v
-        _put_stream(parts, dlo.astype("<i4"))
-        _put_stream(parts, (hi_v - lo_v).astype("<i4"))
+        lo_v, width = _lo_width(cdf, k)
+        _put_stream(parts, np.diff(lo_v, prepend=np.int64(0)).astype("<i4"))
+        _put_stream(parts, width.astype("<i4"))
     for v in schema.val_cols:
-        if n:
-            rep = representation_of(cdf, v, schema)
-            code = np.zeros(n, dtype=np.uint8)
-            v_lo = np.empty(n, dtype="<i4")
-            v_hi = np.empty(n, dtype="<i4")
-            for j, k in enumerate(schema.key_cols):
-                m = (rep == k).to_numpy()
-                code[m] = 1 + j
-                d = rg.delta(v, k)
-                v_lo[m] = cdf.loc[m, rg.lo(d)].to_numpy().astype("<i4")
-                v_hi[m] = cdf.loc[m, rg.hi(d)].to_numpy().astype("<i4")
-            m = (rep == "abs").to_numpy()
-            v_lo[m] = cdf.loc[m, rg.lo(v)].to_numpy().astype("<i4")
-            v_hi[m] = cdf.loc[m, rg.hi(v)].to_numpy().astype("<i4")
-        else:
-            code = np.zeros(0, dtype=np.uint8)
-            v_lo = np.zeros(0, dtype="<i4")
-            v_hi = np.zeros(0, dtype="<i4")
-        width = (v_hi.astype("int64") - v_lo.astype("int64")).astype("<i4")
-        _put_stream(parts, code)
-        _put_stream(parts, np.asarray(v_lo, dtype="<i4"))
-        _put_stream(parts, width)
+        lo_v, width = _lo_width(cdf, v)
+        _put_stream(parts, cdf[rg.rep(v)].to_numpy().astype(np.uint8))
+        _put_stream(parts, lo_v.astype("<i4"))
+        _put_stream(parts, width.astype("<i4"))
     return b"".join(parts)
 
 
 def deserialize(buf: bytes) -> tuple[pd.DataFrame, LineageSchema]:
+    """Decode a ProvRC file into its finalized table and schema."""
     if buf[:4] != _MAGIC:
-        raise ValueError("not a ProvRC file")
+        raise ValueError("not a ProvRC file (bad magic)")
+    if len(buf) < 16:
+        raise ValueError("truncated ProvRC file: header is shorter than 16 bytes")
     version, direction, n_key, n_val, n = struct.unpack("<BBBBQ", buf[4:16])
     if version != _VERSION:
-        raise ValueError(f"unsupported version {version}")
+        raise ValueError(f"unsupported ProvRC file version {version} (expected {_VERSION})")
+    if direction not in (0, 1):
+        raise ValueError(f"corrupt ProvRC file: direction byte {direction}")
     schema = (
         backward_schema(n_key, n_val)
         if direction == 0
         else forward_schema(n_val, n_key)
     )
     off = 16
-    cols: dict[str, np.ndarray] = {}
 
-    def take(dtype, count):
+    def take(dtype: str) -> np.ndarray:
         nonlocal off
-        arr, off2 = _take_stream(buf, off, dtype, count)
-        off = off2
-        return arr
+        arr, off = _take_stream(buf, off, dtype, n)
+        return arr.astype("int64")
 
+    cols: dict[str, np.ndarray] = {}
     for k in schema.key_cols:
-        dlo = take("<i4", n).astype("int64")
-        width = take("<i4", n).astype("int64")
-        lo_v = np.cumsum(dlo)
-        cols[rg.lo(k)] = lo_v.astype("float64")
-        cols[rg.hi(k)] = (lo_v + width).astype("float64")
-    cdf = pd.DataFrame(cols)
+        cols[rg.lo(k)] = np.cumsum(take("<i4"))
+        cols[rg.hi(k)] = cols[rg.lo(k)] + take("<i4")
     for v in schema.val_cols:
-        code = take("u1", n)
-        v_lo = take("<i4", n).astype("float64")
-        v_hi = v_lo + take("<i4", n).astype("float64")
-        for c in [v] + [rg.delta(v, k) for k in schema.key_cols]:
-            cdf[rg.lo(c)] = np.nan
-            cdf[rg.hi(c)] = np.nan
-        m = code == 0
-        cdf.loc[m, rg.lo(v)] = v_lo[m]
-        cdf.loc[m, rg.hi(v)] = v_hi[m]
-        for j, k in enumerate(schema.key_cols):
-            m = code == 1 + j
-            d = rg.delta(v, k)
-            cdf.loc[m, rg.lo(d)] = v_lo[m]
-            cdf.loc[m, rg.hi(d)] = v_hi[m]
-    return cdf, schema
+        code = take("u1")
+        if len(code) and code.max() > n_key:
+            raise ValueError(
+                f"corrupt ProvRC file: value attribute {v} has representation "
+                f"code {code.max()}, but the file has {n_key} key attributes"
+            )
+        cols[rg.rep(v)] = code
+        cols[rg.lo(v)] = take("<i4")
+        cols[rg.hi(v)] = cols[rg.lo(v)] + take("<i4")
+    if off != len(buf):
+        raise ValueError(
+            f"corrupt ProvRC file: {len(buf) - off} trailing bytes after the last stream"
+        )
+    return pd.DataFrame(cols, columns=interval_columns(schema)), schema
 
 
 def write(cdf: pd.DataFrame, schema: LineageSchema, path: str | Path, *, gzipped: bool = False) -> int:

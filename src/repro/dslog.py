@@ -87,7 +87,7 @@ class DSLog:
         it when a permanent signature mapping exists.
         """
         in_shapes = tuple(self._arrays[a] for a in in_arrs)
-        predicted = self._predict(op_name, op_args, in_shapes) if reuse else None
+        predicted = self._reuse.predict(op_name, op_args, in_shapes) if reuse else None
         if predicted is not None:
             relations = predicted
             self.reuse_hits += 1
@@ -99,23 +99,6 @@ class DSLog:
         for src, rel in zip(in_arrs, relations):
             for dst in out_arrs:
                 self.lineage(src, dst, rel)
-
-    def _predict(self, op_name, op_args, in_shapes):
-        from repro.reuse.signatures import instantiate
-
-        st = self._reuse._dim.get((op_name, op_args, in_shapes))
-        if st is not None and st.status == "permanent":
-            return [r.copy() for r in st.stored]
-        st = self._reuse._gen.get((op_name, op_args))
-        if st is not None and st.status == "permanent":
-            try:
-                return [
-                    provrc.decompress(instantiate(g, in_shapes), g.schema)
-                    for g in st.stored
-                ]
-            except ValueError:
-                return None
-        return None
 
     # -- paper §III.A queries ---------------------------------------------
     def prov_query(self, path: list[str], query_cells: pd.DataFrame) -> pd.DataFrame:

@@ -12,4 +12,4 @@
 - ``baseline_query``: the DPSM baselines' query path (decompress +
   equality joins, served by DuckDB or Spark).
 """
-from repro.insitu.theta_join import theta_join, chain_query, merge_intervals  # noqa: F401
+from repro.insitu.theta_join import chain_query, merge_intervals  # noqa: F401

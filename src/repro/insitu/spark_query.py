@@ -25,44 +25,21 @@ def query_to_spark(spark: SparkSession, qdf: pd.DataFrame) -> DataFrame:
     return spark.createDataFrame(qdf.add_prefix(_PFX))
 
 
-def _present(c: str):
-    """Representation-present guard: Arrow round trips turn pandas NaN
-    into SQL NULL, so 'absent' can surface either way."""
-    return F.col(c).isNotNull() & ~F.isnan(F.col(c))
-
-
 def _derelativize_expr(joined: DataFrame, schema: LineageSchema) -> DataFrame:
-    """Absolute value intervals via Catalyst when/coalesce chains.
+    """Absolute value intervals via Catalyst when/otherwise chains.
 
-    For value ``v``: keep the absolute interval when present, else find
-    its delta vs key ``k`` and shift the (intersected) key interval —
-    ``[x_lo + d_lo, x_hi + d_hi]`` (paper's rel_back).
+    For value ``v`` with ``v_rep = 1 + j``: shift the (intersected) key
+    interval of key ``j`` by the stored delta, ``[x_lo + d_lo, x_hi + d_hi]``
+    (paper's rel_back); with ``v_rep = 0`` keep the absolute interval.
     """
     out = joined
     for v in schema.val_cols:
-        # Prefer the absolute interval; else the first present delta.
-        # Chain is built back-to-front so each when() gets one otherwise().
-        cands = [(rg.lo(v), rg.hi(v), None)] + [
-            (rg.lo(rg.delta(v, k)), rg.hi(rg.delta(v, k)), k)
-            for k in schema.key_cols
-        ]
-        lo_chain = None
-        hi_chain = None
-        for cand_lo, cand_hi, shift in reversed(cands):
-            if shift is None:
-                this_lo = F.col(cand_lo)
-                this_hi = F.col(cand_hi)
-            else:
-                this_lo = F.col(f"__x_{rg.lo(shift)}") + F.col(cand_lo)
-                this_hi = F.col(f"__x_{rg.hi(shift)}") + F.col(cand_hi)
-            guard = _present(cand_lo)
-            lo_expr = F.when(guard, this_lo)
-            hi_expr = F.when(guard, this_hi)
-            lo_chain = lo_expr if lo_chain is None else lo_expr.otherwise(lo_chain)
-            hi_chain = hi_expr if hi_chain is None else hi_expr.otherwise(hi_chain)
-        out = out.withColumn(f"__v_{rg.lo(v)}", lo_chain).withColumn(
-            f"__v_{rg.hi(v)}", hi_chain
-        )
+        lo_expr, hi_expr = F.col(rg.lo(v)), F.col(rg.hi(v))
+        for j, k in enumerate(schema.key_cols):
+            relative = F.col(rg.rep(v)) == 1 + j
+            lo_expr = F.when(relative, F.col(f"__x_{rg.lo(k)}") + F.col(rg.lo(v))).otherwise(lo_expr)
+            hi_expr = F.when(relative, F.col(f"__x_{rg.hi(k)}") + F.col(rg.hi(v))).otherwise(hi_expr)
+        out = out.withColumn(f"__v_{rg.lo(v)}", lo_expr).withColumn(f"__v_{rg.hi(v)}", hi_expr)
     return out
 
 

@@ -68,7 +68,7 @@ def scan_with_pushdown(
     df, schema = open_store(spark, path)
     primary = schema.key_cols[0]
     return df.filter(
-        (F.col(rg.hi(primary)) >= float(lo)) & (F.col(rg.lo(primary)) <= float(hi))
+        (F.col(rg.hi(primary)) >= int(lo)) & (F.col(rg.lo(primary)) <= int(hi))
     )
 
 

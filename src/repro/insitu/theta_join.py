@@ -30,7 +30,7 @@ import pandas as pd
 
 from repro.core import ranges as rg
 from repro.core.model import LineageSchema
-from repro.core.provrc import representation_of
+from repro.core.provrc import absolute_values
 
 
 def _overlap_join(qdf: pd.DataFrame, cdf: pd.DataFrame, key_cols: tuple[str, ...]) -> pd.DataFrame:
@@ -55,26 +55,12 @@ def _overlap_join(qdf: pd.DataFrame, cdf: pd.DataFrame, key_cols: tuple[str, ...
 
 def _derelativize(joined: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     """Convert every value attribute of the joined table to absolute intervals."""
-    if joined.empty:
-        out = pd.DataFrame()
-        for v in schema.val_cols:
-            out[rg.lo(v)] = pd.Series(dtype="float64")
-            out[rg.hi(v)] = pd.Series(dtype="float64")
-        return out
-    out = pd.DataFrame(index=joined.index)
-    for v in schema.val_cols:
-        rep = representation_of(joined, v, schema)
-        v_lo = joined[rg.lo(v)].to_numpy().copy()
-        v_hi = joined[rg.hi(v)].to_numpy().copy()
-        for k in schema.key_cols:
-            m = (rep == k).to_numpy()
-            if m.any():
-                d = rg.delta(v, k)
-                v_lo[m] = joined.loc[m, rg.lo(k)].to_numpy() + joined.loc[m, rg.lo(d)].to_numpy()
-                v_hi[m] = joined.loc[m, rg.hi(k)].to_numpy() + joined.loc[m, rg.hi(d)].to_numpy()
-        out[rg.lo(v)] = v_lo
-        out[rg.hi(v)] = v_hi
-    return out.reset_index(drop=True)
+    return absolute_values(
+        joined,
+        schema,
+        [joined[rg.lo(k)].to_numpy() for k in schema.key_cols],
+        [joined[rg.hi(k)].to_numpy() for k in schema.key_cols],
+    )
 
 
 def merge_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:

@@ -59,23 +59,26 @@ class GeneralizedTable:
 
 
 def generalize(cdf: pd.DataFrame, schema: LineageSchema, in_shapes: Shapes) -> GeneralizedTable:
-    """Index reshaping (paper Fig 6): symbolize full-extent intervals."""
+    """Index reshaping (paper Fig 6): symbolize full-extent intervals.
+
+    Only absolute intervals are candidates: a value attribute stored
+    relative to a key (``rep != 0``) holds a delta, never an extent.
+    Each interval is marked with the first dim whose extent it equals.
+    """
+    cdf = cdf.reset_index(drop=True)
     dims = _flat_dims(in_shapes)
     marks: list[tuple[int, str, int]] = []
-    attrs = list(schema.key_cols) + list(schema.val_cols)
-    for pos in range(len(cdf)):
-        for a in attrs:
-            lo_v = cdf.iloc[pos][rg.lo(a)]
-            hi_v = cdf.iloc[pos][rg.hi(a)]
-            if np.isnan(lo_v):
-                continue
-            if lo_v == 0:
-                for di, d in enumerate(dims):
-                    if hi_v == d - 1:
-                        marks.append((pos, a, di))
-                        break
+    for a in schema.key_cols + schema.val_cols:
+        todo = (cdf[rg.lo(a)] == 0).to_numpy()
+        if a in schema.val_cols:
+            todo &= (cdf[rg.rep(a)] == 0).to_numpy()
+        hi_v = cdf[rg.hi(a)].to_numpy()
+        for di, d in enumerate(dims):
+            hit = todo & (hi_v == d - 1)
+            marks += [(int(pos), a, di) for pos in np.flatnonzero(hit)]
+            todo &= ~hit
     return GeneralizedTable(
-        template=cdf.reset_index(drop=True).copy(),
+        template=cdf.copy(),
         schema=schema,
         marks=marks,
         captured_shapes=tuple(tuple(s) for s in in_shapes),
@@ -149,6 +152,24 @@ class ReuseIndex:
             gen_hit=res_gen[1],
             error=res_dim[2] or res_gen[2],
         )
+
+    def predict(self, op_name: str, op_args: tuple, in_shapes: Shapes) -> list[pd.DataFrame] | None:
+        """Lineage relations for a call, from a permanent mapping, or None.
+
+        dim_sig (same shapes) is tried first, then gen_sig, whose stored
+        tables are re-instantiated for ``in_shapes``.
+        """
+        in_shapes = tuple(tuple(s) for s in in_shapes)
+        st = self._dim.get((op_name, op_args, in_shapes))
+        if st is not None and st.status == "permanent":
+            return [r.copy() for r in st.stored]
+        st = self._gen.get((op_name, op_args))
+        if st is not None and st.status == "permanent":
+            try:
+                return [provrc.decompress(instantiate(g, in_shapes), g.schema) for g in st.stored]
+            except ValueError:
+                return None
+        return None
 
     # -- dim_sig ---------------------------------------------------------
     def _observe_dim(self, op, args, shapes, relations):

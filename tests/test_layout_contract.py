@@ -1,0 +1,36 @@
+"""One finalized layout: the kernel, the file format and Spark all return
+``interval_columns(schema)``, in that order, as int64, with equal rows.
+"""
+from repro.capture import patterns as pt
+from repro.core import provrc, storage
+from repro.core.model import backward_schema
+from repro.core.spark_provrc import collect_compressed, compress_spark, interval_columns
+
+
+def _rows(cdf):
+    return sorted(map(tuple, cdf.to_numpy().tolist()))
+
+
+def test_kernel_file_and_spark_share_one_layout(spark, tmp_path):
+    rel = pt.conv2d(12, 12, 3, 3)
+    schema = backward_schema(2, 2)
+    cols = interval_columns(schema)
+    assert cols == [
+        "b0_lo", "b0_hi", "b1_lo", "b1_hi",
+        "a0_rep", "a0_lo", "a0_hi", "a1_rep", "a1_lo", "a1_hi",
+    ]
+
+    kernel = provrc.compress(rel, schema)
+    storage.write(kernel, schema, tmp_path / "t.prc.gz", gzipped=True)
+    stored, stored_schema = storage.read(tmp_path / "t.prc.gz")
+    sdf = compress_spark(spark.createDataFrame(rel), schema, n_buckets=4)
+    collected = collect_compressed(sdf)
+
+    assert stored_schema == schema
+    assert all(not f.nullable for f in sdf.schema.fields)
+    for cdf in (kernel, stored, collected):
+        assert list(cdf.columns) == cols
+        assert all(str(t) == "int64" for t in cdf.dtypes)
+    # Both representations occur, so the rep columns are exercised.
+    assert set(kernel["a0_rep"]) == {0, 1}
+    assert _rows(stored) == _rows(kernel) == _rows(collected)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import provrc
 from repro.core.model import backward_schema, forward_schema
-from repro.core.ranges import delta, hi, lo
+from repro.core.ranges import hi, lo, rep
 
 
 def sum_axis1_lineage() -> pd.DataFrame:
@@ -24,7 +24,7 @@ class TestStep1:
     def test_table1_multi_attribute_range_encoding(self):
         """Paper Table I: inputs collapse to (b, b, [0,1]) rows."""
         schema = backward_schema(1, 2)
-        cdf = provrc.compress(sum_axis1_lineage(), schema, prune=False)
+        cdf = provrc.compress(sum_axis1_lineage(), schema)
         # Before step 2 would merge them, step 1 alone gives 3 rows; the
         # full algorithm merges to 1 (Table II). Check step 1 in isolation.
         work = provrc.to_intervals(sum_axis1_lineage(), ["b0", "a0", "a1"])
@@ -57,12 +57,12 @@ class TestStep2:
         assert len(cdf) == 1
         r = cdf.iloc[0]
         assert (r[lo("b0")], r[hi("b0")]) == (0, 2)
-        # a0 stored relative to b0 with delta 0 (paper's a1b1 = 0 column).
-        assert np.isnan(r[lo("a0")])
-        assert (r[lo(delta("a0", "b0"))], r[hi(delta("a0", "b0"))]) == (0, 0)
-        # a1 stored absolutely as [0, 1].
+        # a0 stored relative to b0 (rep 1) with delta 0 (paper's a1b1 = 0 column).
+        assert r[rep("a0")] == 1
+        assert (r[lo("a0")], r[hi("a0")]) == (0, 0)
+        # a1 stored absolutely (rep 0) as [0, 1].
+        assert r[rep("a1")] == 0
         assert (r[lo("a1")], r[hi("a1")]) == (0, 1)
-        assert np.isnan(r[lo(delta("a1", "b0"))])
 
     def test_table3_forward_representation(self):
         """Paper Table III: a0=[0,2], a1=[0,1] absolute; b0 relative to a0."""
@@ -72,8 +72,9 @@ class TestStep2:
         r = cdf.iloc[0]
         assert (r[lo("a0")], r[hi("a0")]) == (0, 2)
         assert (r[lo("a1")], r[hi("a1")]) == (0, 1)
-        assert np.isnan(r[lo("b0")])
-        assert (r[lo(delta("b0", "a0"))], r[hi(delta("b0", "a0"))]) == (0, 0)
+        # b0 stored relative to a0 (rep 1) with delta 0.
+        assert r[rep("b0")] == 1
+        assert (r[lo("b0")], r[hi("b0")]) == (0, 0)
 
     def test_fig2_all_to_all_aggregation(self):
         """Fig 2: 4x4 -> 1x1 aggregation compresses to one absolute row."""
@@ -92,7 +93,8 @@ class TestStep2:
         assert len(cdf) == 1
         r = cdf.iloc[0]
         assert (r[lo("b0")], r[hi("b0")]) == (0, 1)
-        assert (r[lo(delta("a0", "b0"))], r[hi(delta("a0", "b0"))]) == (0, 0)
+        assert r[rep("a0")] == 1
+        assert (r[lo("a0")], r[hi("a0")]) == (0, 0)
 
     def test_matmul_pattern_compresses_to_constant_rows(self):
         """Matrix*Matrix lineage is O(1) rows regardless of n (Table VII)."""
@@ -109,7 +111,9 @@ class TestStep2:
         r = cdf.iloc[0]
         assert (r[lo("b0")], r[hi("b0")]) == (0, n - 1)
         assert (r[lo("b1")], r[hi("b1")]) == (0, n - 1)
-        assert (r[lo(delta("a0", "b0"))], r[hi(delta("a0", "b0"))]) == (0, 0)
+        assert r[rep("a0")] == 1
+        assert (r[lo("a0")], r[hi("a0")]) == (0, 0)
+        assert r[rep("a1")] == 0
         assert (r[lo("a1")], r[hi("a1")]) == (0, n - 1)
 
     def test_sort_worst_case_stays_lossless(self):

@@ -9,7 +9,7 @@ from repro.capture import numpy_ops as nops
 from repro.capture import patterns as pt
 from repro.core import provrc
 from repro.core.model import backward_schema
-from repro.core.ranges import hi, lo
+from repro.core.ranges import hi, lo, rep
 from repro.reuse import ReuseIndex, generalize, instantiate
 
 
@@ -45,6 +45,23 @@ class TestIndexReshaping:
         want_rel, _ = pt.matmul(6, 2, 3)
         want = want_rel.sort_values(["b0", "b1", "a0", "a1"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+    def test_relative_delta_is_never_marked(self):
+        """A delta equal to ``[0, d-1]`` is not a full-extent interval."""
+        # b[i] <- a[i..i+2, 0..2]: a0 = b0 + [0, 2], a1 = [0, 2], inputs 6x3.
+        rel = pd.DataFrame(
+            [(b, b + t, j) for b in range(4) for t in range(3) for j in range(3)],
+            columns=["b0", "a0", "a1"],
+        )
+        schema = backward_schema(1, 2)
+        cdf = provrc.compress(rel, schema)
+        assert len(cdf) == 1
+        r = cdf.iloc[0]
+        assert r[rep("a0")] == 1 and (r[lo("a0")], r[hi("a0")]) == (0, 2)
+        gen = generalize(cdf, schema, ((6, 3),))
+        # Only the absolute a1 = [0, 2] matches a dim (3); a0's delta,
+        # equal to [0, 3 - 1], stays fixed.
+        assert gen.marks == [(0, "a1", 1)]
 
     def test_reshape_does_not_extrapolate(self):
         """Flat-index arithmetic is shape-coupled; gen must fail to match."""
@@ -105,6 +122,24 @@ class TestReusePredictor:
         self._run(idx, spec, spec.default_shapes, 0)
         r2 = self._run(idx, spec, spec.alt_shapes, 1)
         assert r2.gen_status == "blocked"
+
+    def test_predict_from_permanent_mappings(self):
+        idx = ReuseIndex(m=1)
+        spec = nops.OPS["matmul"]
+        assert idx.predict(spec.name, spec.op_args, spec.default_shapes) is None
+        self._run(idx, spec, spec.default_shapes, 0)
+        self._run(idx, spec, spec.alt_shapes, 1)  # gen_sig now permanent
+        shapes = ((5, 4), (4, 6))
+        got = idx.predict(spec.name, spec.op_args, shapes)
+        want = spec.capture(shapes, np.random.default_rng(2)).relations
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            cols = sorted(w.columns)
+            pd.testing.assert_frame_equal(
+                g[cols].sort_values(cols).reset_index(drop=True),
+                w[cols].sort_values(cols).reset_index(drop=True),
+                check_dtype=False,
+            )
 
     def test_cross_misprediction(self):
         """The paper's one reuse error: cross's pattern flips at dim 2."""

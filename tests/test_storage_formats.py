@@ -13,8 +13,10 @@ from repro.baselines import (
     write_raw,
     write_turborc,
 )
+from repro.capture import patterns as pt
 from repro.core import provrc, storage
 from repro.core.model import backward_schema
+from repro.core.ranges import rep
 
 
 @pytest.fixture()
@@ -101,3 +103,30 @@ class TestProvRCStorage:
         assert s_provrc < s_parquet / 10
         assert s_provrc < s_turbo  # margin grows with scale (Table VII)
         assert s_provrc < s_raw / 100
+
+
+def _bad_rep_code(cdf):
+    """A 2-key file whose a0 rep code (9) names no key attribute."""
+    return storage.serialize(cdf.assign(**{rep("a0"): 9}), backward_schema(2, 2))
+
+
+@pytest.mark.parametrize(
+    "corrupt,match",
+    [
+        (lambda buf, cdf: b"XXXX" + buf[4:], "not a ProvRC file"),
+        (lambda buf, cdf: buf[:4] + b"\x03" + buf[5:], "unsupported ProvRC file version 3"),
+        (lambda buf, cdf: buf[:10], "truncated ProvRC file: header"),
+        (lambda buf, cdf: buf[:-1], "truncated ProvRC file: stream"),
+        (lambda buf, cdf: buf + b"\x00", "1 trailing bytes"),
+        (lambda buf, cdf: _bad_rep_code(cdf), "representation code 9, but the file has 2 key"),
+    ],
+    ids=["bad-magic", "bad-version", "short-header", "truncated", "trailing", "rep-out-of-range"],
+)
+def test_deserialize_rejects_malformed(corrupt, match):
+    schema = backward_schema(2, 2)
+    cdf = provrc.compress(pt.conv2d(10, 10, 3, 3), schema)
+    buf = storage.serialize(cdf, schema)
+    back, _ = storage.deserialize(buf)  # the intact file reads back
+    assert len(back) == len(cdf) == 9
+    with pytest.raises(ValueError, match=match):
+        storage.deserialize(corrupt(buf, cdf))
