@@ -1,14 +1,16 @@
 """Spark-parallel ProvRC benchmark: compression of a 360k-row aggregate
 lineage relation through the per-partition applyInPandas path, plus the
-Spark in-situ query path end to end. Demonstrates the paper's
-"highly parallelizable" claim on the shuffle path (broadcast disabled)."""
+Spark in-situ query path end to end, next to the pandas kernel on the
+same compressed table. Demonstrates the paper's "highly parallelizable"
+claim for compression on the shuffle path (broadcast disabled)."""
 import pandas as pd
 
 from repro.capture import patterns as pt
 from repro.core import provrc
 from repro.core.model import backward_schema
 from repro.core.spark_provrc import compress_spark
-from repro.insitu.spark_query import collect_cells, query_to_spark, theta_join_spark
+from repro.insitu.spark_query import chain_query_spark, collect_cells
+from repro.insitu.theta_join import chain_query, intervals_to_cells
 
 
 def test_spark_compress_aggregate(benchmark, spark):
@@ -32,10 +34,21 @@ def test_spark_insitu_query_end_to_end(benchmark, spark):
     q = provrc.encode_query(pd.DataFrame({"b0": list(range(50, 80))}), ["b0"])
 
     def run():
-        return collect_cells(
-            theta_join_spark(query_to_spark(spark, q), cdf_s, schema, bucket_width=128),
-            ["a0", "a1"],
-        )
+        return collect_cells(chain_query_spark(spark, q, [(cdf_s, schema)]), ["a0", "a1"])
+
+    cells = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert len(cells) == 30 * 600
+
+
+def test_kernel_insitu_query_end_to_end(benchmark):
+    """The same query and table as above, through the pandas kernel."""
+    rel = pt.reduce_axis((600, 600), 1)
+    schema = backward_schema(1, 2)
+    cdf = provrc.compress(rel, schema)
+    q = provrc.encode_query(pd.DataFrame({"b0": list(range(50, 80))}), ["b0"])
+
+    def run():
+        return intervals_to_cells(chain_query(q, [(cdf, schema)]), ["a0", "a1"])
 
     cells = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(cells) == 30 * 600

@@ -342,8 +342,8 @@ def encode_query(cells: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
     """Range-encode a query cell set into the compressed format (§V.B).
 
     ``cells`` has one scalar integer column per queried axis. The result
-    is an interval table over the same columns, produced with the same
-    multi-attribute range encoding as ProvRC step 1 — the paper's Q'.
+    is an int64 interval table over the same columns, produced with the
+    same multi-attribute range encoding as ProvRC step 1 — the paper's Q'.
     """
     work = to_intervals(cells.drop_duplicates(), cols)
-    return _range_encode(work, cols, cols).reset_index(drop=True)
+    return _range_encode(work, cols, cols).reset_index(drop=True).astype("int64")

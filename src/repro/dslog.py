@@ -45,9 +45,9 @@ class _Edge:
 class DSLog:
     """In-memory DSLog instance (kernel execution path).
 
-    The Spark execution path for large tables lives in
-    ``core.spark_provrc`` / ``insitu.spark_query``; this facade wires the
-    paper's API around the same kernels.
+    The facade never calls Spark. ``core.spark_provrc`` and
+    ``insitu.spark_query`` run the same kernels per partition in Spark
+    executors; choosing one by table size is an open ROADMAP item.
     """
 
     def __init__(self, *, reuse_m: int = 1):

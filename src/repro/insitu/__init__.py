@@ -3,12 +3,11 @@
 - ``theta_join``: the pandas θ-join kernel — range join on key
   intervals, de-relativization, projection, and the merge (row-reduction)
   optimization.
-- ``range_join``: a bucketed band join that runs the range join on
-  Spark's shuffle path (broadcast joins are disabled session-wide).
 - ``spark_query``: chained forward/backward queries over a pipeline of
-  compressed lineage tables, in Spark.
+  compressed lineage tables, in Spark: the same kernel per partition of
+  a store scan filtered on the query's primary-key hull, no shuffle.
 - ``store``: compressed tables persisted as Parquet sorted on the primary
-  key axis; backward-query predicates push down to row-group stats.
+  key axis; a query step's key predicate pushes down to row-group stats.
 - ``baseline_query``: the DPSM baselines' query path (decompress +
   equality joins, served by DuckDB or Spark).
 """

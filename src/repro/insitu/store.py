@@ -4,8 +4,8 @@ The repro band asks for ProvRC as "a custom Parquet/columnar FileFormat
 with predicate pushdown executed per-partition in Spark executors". A
 true JVM DataSourceV2 is out of scope (DESIGN.md §6); instead compressed
 tables are persisted as Parquet range-partitioned and sorted on the
-primary key attribute's lower bound, so a backward query's key predicate
-``k_hi >= q_lo AND k_lo <= q_hi``:
+primary key attribute's lower bound, so a query step's hull predicate
+``k_hi >= q_lo AND k_lo <= q_hi`` (``overlapping``):
 
 - is pushed into the Parquet scan (visible as PushedFilters in the
   physical plan), and
@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.core import ranges as rg
@@ -56,16 +55,13 @@ def open_store(spark: SparkSession, path: str | Path) -> tuple[DataFrame, Lineag
     return spark.read.parquet(str(Path(path) / "data")), schema
 
 
-def scan_with_pushdown(
-    spark: SparkSession, path: str | Path, lo: int, hi: int
-) -> DataFrame:
-    """Scan rows whose primary key interval overlaps [lo, hi].
+def overlapping(df: DataFrame, schema: LineageSchema, lo: int, hi: int) -> DataFrame:
+    """Rows of a compressed table whose primary key interval overlaps [lo, hi].
 
-    The filter references only stored columns, so Catalyst pushes it to
-    the Parquet data source (row-group stats pruning on the sorted
-    primary column).
+    The filter references only stored columns, so on a table from
+    ``open_store`` Catalyst pushes it to the Parquet data source
+    (row-group stats pruning on the sorted primary column).
     """
-    df, schema = open_store(spark, path)
     primary = schema.key_cols[0]
     return df.filter(
         (F.col(rg.hi(primary)) >= int(lo)) & (F.col(rg.lo(primary)) <= int(hi))

@@ -34,23 +34,27 @@ from repro.core.provrc import absolute_values
 
 
 def _overlap_join(qdf: pd.DataFrame, cdf: pd.DataFrame, key_cols: tuple[str, ...]) -> pd.DataFrame:
-    """Cross-join + overlap filter + per-key intersection (kernel path).
+    """Table rows paired with every query row whose key intervals all
+    overlap theirs, each key interval cut to the intersection.
 
-    Quadratic but only used by the pandas kernel on small tables and as
-    the per-partition leaf of the Spark bucketed range join; the Spark
-    driver never materializes the full cross product.
+    Quadratic in |query| x |table|, but only in (query row, table row)
+    index pairs, filtered one key axis at a time before any table column
+    is gathered. Spark runs it per partition of the table after filtering
+    on the query's primary-key hull, so only the overlapping partitions
+    pay it; a sort-based interval join is an open ROADMAP item.
     """
-    q = qdf.add_prefix("q__")
-    left = q.merge(cdf, how="cross")
-    keep = np.ones(len(left), dtype=bool)
+    qi = np.repeat(np.arange(len(qdf)), len(cdf))
+    ri = np.tile(np.arange(len(cdf)), len(qdf))
     for k in key_cols:
-        keep &= (left[f"q__{rg.lo(k)}"] <= left[rg.hi(k)]).to_numpy()
-        keep &= (left[rg.lo(k)] <= left[f"q__{rg.hi(k)}"]).to_numpy()
-    left = left.loc[keep].reset_index(drop=True)
+        q_lo, q_hi = qdf[rg.lo(k)].to_numpy(), qdf[rg.hi(k)].to_numpy()
+        r_lo, r_hi = cdf[rg.lo(k)].to_numpy(), cdf[rg.hi(k)].to_numpy()
+        keep = (q_lo[qi] <= r_hi[ri]) & (r_lo[ri] <= q_hi[qi])
+        qi, ri = qi[keep], ri[keep]
+    out = cdf.take(ri).reset_index(drop=True)
     for k in key_cols:
-        left[rg.lo(k)] = np.maximum(left[rg.lo(k)], left[f"q__{rg.lo(k)}"])
-        left[rg.hi(k)] = np.minimum(left[rg.hi(k)], left[f"q__{rg.hi(k)}"])
-    return left.drop(columns=[c for c in left.columns if c.startswith("q__")])
+        out[rg.lo(k)] = np.maximum(out[rg.lo(k)].to_numpy(), qdf[rg.lo(k)].to_numpy()[qi])
+        out[rg.hi(k)] = np.minimum(out[rg.hi(k)].to_numpy(), qdf[rg.hi(k)].to_numpy()[qi])
+    return out
 
 
 def _derelativize(joined: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
@@ -105,19 +109,25 @@ def chain_query(
     cur = qdf
     for step, (cdf, schema) in enumerate(tables):
         if step > 0:
-            prev_vals = tables[step - 1][1].val_cols
-            if len(prev_vals) != len(schema.key_cols):
-                raise ValueError(
-                    f"path step {step}: axis count mismatch "
-                    f"({len(prev_vals)} vs {len(schema.key_cols)})"
-                )
-            renames = {}
-            for pv, k in zip(prev_vals, schema.key_cols):
-                renames[rg.lo(pv)] = rg.lo(k)
-                renames[rg.hi(pv)] = rg.hi(k)
-            cur = cur.rename(columns=renames)
+            cur = as_next_query(cur, tables[step - 1][1], schema)
         cur = theta_join(cur, cdf, schema, merge=merge)
     return cur
+
+
+def as_next_query(
+    result: pd.DataFrame, prev: LineageSchema, schema: LineageSchema
+) -> pd.DataFrame:
+    """Rename a step's result (over ``prev.val_cols``) positionally to the
+    key attributes of the next table, ``schema.key_cols``."""
+    if len(prev.val_cols) != len(schema.key_cols):
+        raise ValueError(
+            f"path axis count mismatch ({len(prev.val_cols)} vs {len(schema.key_cols)})"
+        )
+    renames = {}
+    for pv, k in zip(prev.val_cols, schema.key_cols):
+        renames[rg.lo(pv)] = rg.lo(k)
+        renames[rg.hi(pv)] = rg.hi(k)
+    return result.rename(columns=renames)
 
 
 def intervals_to_cells(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:

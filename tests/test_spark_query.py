@@ -1,90 +1,97 @@
-"""Spark in-situ query path: bucketed range join, chained θ-joins with
-merge, equivalence with the pandas kernel and the DuckDB oracle, and
-Parquet predicate pushdown in the store.
+"""Spark in-situ query path: the kernel run per partition of a filtered
+scan returns the kernel's cells on every input, matches the DuckDB
+oracle, and plans as a pushed-down Parquet scan with no shuffle.
 """
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.capture import numpy_ops as nops
 from repro.capture import patterns as pt
 from repro.core import provrc
 from repro.core.model import backward_schema, forward_schema
 from repro.core.ranges import hi, lo
 from repro.core.spark_provrc import compress_spark
 from repro.insitu import store
-from repro.insitu.range_join import bucketed_range_join
-from repro.insitu.spark_query import (
-    chain_query_spark,
-    collect_cells,
-    query_to_spark,
-    theta_join_spark,
-)
+from repro.insitu.spark_query import chain_query_spark, collect_cells
 from repro.insitu.theta_join import chain_query, intervals_to_cells
 from repro.oracle import assert_equivalent
 
 
-class TestBucketedRangeJoin:
-    def test_matches_naive_overlap(self, spark):
-        g = np.random.default_rng(0)
-        n = 80
-        left = pd.DataFrame({"x_lo": g.integers(0, 200, n).astype("float64")})
-        left["x_hi"] = left["x_lo"] + g.integers(0, 30, n)
-        left = left.add_prefix("q__").assign(lid=np.arange(n))
-        right = pd.DataFrame({"x_lo": g.integers(0, 200, n).astype("float64")})
-        right["x_hi"] = right["x_lo"] + g.integers(0, 30, n)
-        right = right.assign(rid=np.arange(n))
-        got = (
-            bucketed_range_join(
-                spark.createDataFrame(left),
-                spark.createDataFrame(right),
-                ["x"],
-                bucket_width=16,
-            )
-            .select("lid", "rid")
-            .toPandas()
-            .sort_values(["lid", "rid"])
-            .reset_index(drop=True)
-        )
-        want_rows = [
-            (l.lid, r.rid)
-            for l in left.itertuples()
-            for r in right.itertuples()
-            if l.q__x_lo <= r.x_hi and r.x_lo <= l.q__x_hi
-        ]
-        want = (
-            pd.DataFrame(want_rows, columns=["lid", "rid"])
-            .sort_values(["lid", "rid"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+def _executed_plan(df) -> str:
+    return df._jdf.queryExecution().executedPlan().toString()
 
-    def test_no_duplicates_across_buckets(self, spark):
-        # One wide interval spanning many buckets must match exactly once.
-        left = pd.DataFrame({"q__x_lo": [0.0], "q__x_hi": [500.0], "lid": [0]})
-        right = pd.DataFrame({"x_lo": [100.0], "x_hi": [400.0], "rid": [0]})
-        got = bucketed_range_join(
-            spark.createDataFrame(left),
-            spark.createDataFrame(right),
-            ["x"],
-            bucket_width=32,
-        ).count()
-        assert got == 1
+
+def _reduce(spark, tmp_path, cells):
+    rel = pt.reduce_axis((50, 6), 1)
+    schema = backward_schema(1, 2)
+    cdf_s = compress_spark(spark.createDataFrame(rel), schema, n_buckets=8)
+    q = provrc.encode_query(pd.DataFrame({"b0": cells}), ["b0"])
+    return q, [(rel, schema)], [(cdf_s, schema)]
+
+
+def _conv_then_row_aggregate(spark, tmp_path, rows=range(7, 12)):
+    """The benchmark's Spark chain at test scale: conv 20² -> row sums,
+    both forward, read back from the Parquet store."""
+    side = 20
+    chain = [
+        (pt.conv2d(side, side, 3, 3), forward_schema(2, 2)),
+        (pt.reduce_axis((side, side), 1), forward_schema(1, 2)),
+    ]
+    spark_tables = []
+    for k, (rel, schema) in enumerate(chain):
+        cdf = provrc.compress(rel, schema)
+        store.write_store(spark.createDataFrame(cdf), schema, tmp_path / f"st{k}")
+        spark_tables.append(store.open_store(spark, tmp_path / f"st{k}"))
+    rows = np.asarray(rows)
+    cells = pd.DataFrame(
+        {"a0": np.repeat(rows, side), "a1": np.tile(np.arange(side), len(rows))}
+    )
+    q = provrc.encode_query(cells, ["a0", "a1"])
+    return q, chain, spark_tables
+
+
+def _scattered_sort(spark, tmp_path):
+    rel = nops.OPS["sort"].capture(((30, 30),), np.random.default_rng(3)).relation(0)
+    schema = backward_schema(2, 2)
+    cdf = provrc.compress(rel, schema)
+    flat = np.random.default_rng(4).choice(900, 12, replace=False)
+    cells = pd.DataFrame({"b0": flat // 30, "b1": flat % 30})
+    q = provrc.encode_query(cells, ["b0", "b1"])
+    return q, [(rel, schema)], [(spark.createDataFrame(cdf), schema)]
+
+
+CASES = {
+    "reduce": lambda s, p: _reduce(s, p, [3, 4, 5, 20]),
+    "conv_then_row_aggregate": _conv_then_row_aggregate,
+    "scattered_sort": _scattered_sort,
+    "out_of_range": lambda s, p: _reduce(s, p, [500, 501]),
+    "empty_intermediate": lambda s, p: _conv_then_row_aggregate(s, p, rows=[40, 41]),
+}
 
 
 class TestSparkThetaJoin:
-    def test_matches_kernel_single_step(self, spark):
-        rel = pt.reduce_axis((50, 6), 1)
-        schema = backward_schema(1, 2)
-        cdf_s = compress_spark(spark.createDataFrame(rel), schema, n_buckets=8)
-        q = provrc.encode_query(pd.DataFrame({"b0": [3, 4, 5, 20]}), ["b0"])
-        got = collect_cells(
-            theta_join_spark(query_to_spark(spark, q), cdf_s, schema, bucket_width=16),
-            ["a0", "a1"],
-        )
-        want = intervals_to_cells(
-            chain_query(q, [(provrc.compress(rel, schema), schema)]), ["a0", "a1"]
-        )
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_kernel(self, spark, tmp_path, case):
+        q, rels, spark_tables = CASES[case](spark, tmp_path)
+        last = spark_tables[-1][1]
+        cols = list(last.val_cols)
+        result = chain_query_spark(spark, q, spark_tables)
+        assert result.columns == [c for v in cols for c in (lo(v), hi(v))]
+        got = collect_cells(result, cols)
+        kernel_tables = [(provrc.compress(r, s), s) for r, s in rels]
+        want = intervals_to_cells(chain_query(q, kernel_tables), cols)
+        pd.testing.assert_frame_equal(got, want)
+        assert got.empty == (case in ("out_of_range", "empty_intermediate"))
+
+    def test_plan_is_pushed_down_scan_without_shuffle(self, spark, tmp_path):
+        q, _, spark_tables = _conv_then_row_aggregate(spark, tmp_path)
+        result = chain_query_spark(spark, q, spark_tables)
+        assert not collect_cells(result, ["b0"]).empty
+        filters = store.pushed_filters(result)
+        assert "a0_hi" in filters and "a0_lo" in filters, filters
+        plan = _executed_plan(result)
+        assert "Exchange" not in plan, plan
 
     def test_forward_chain_matches_duckdb(self, spark):
         """3-op forward pipeline, Spark in-situ vs DuckDB joins on raw."""
@@ -99,9 +106,7 @@ class TestSparkThetaJoin:
             for r in (r1, r2, r3)
         ]
         q = provrc.encode_query(pd.DataFrame({"a0": [10, 11, 40]}), ["a0"])
-        got_cells = collect_cells(
-            chain_query_spark(spark, q, tables, bucket_width=16), ["b0"]
-        )
+        got_cells = collect_cells(chain_query_spark(spark, q, tables), ["b0"])
         assert_equivalent(
             spark.createDataFrame(got_cells),
             """
@@ -115,16 +120,6 @@ class TestSparkThetaJoin:
             r3=r3,
         )
 
-    def test_merge_vs_no_merge_same_cells(self, spark):
-        rel = pt.cumulative((40,), 0)
-        schema = backward_schema(1, 1)
-        cdf_s = compress_spark(spark.createDataFrame(rel), schema, n_buckets=4)
-        q = provrc.encode_query(pd.DataFrame({"b0": [7, 8, 30]}), ["b0"])
-        qs = query_to_spark(spark, q)
-        a = collect_cells(theta_join_spark(qs, cdf_s, schema, merge=True), ["a0"])
-        b = collect_cells(theta_join_spark(qs, cdf_s, schema, merge=False), ["a0"])
-        pd.testing.assert_frame_equal(a, b, check_dtype=False)
-
 
 class TestStore:
     def test_roundtrip_and_pushdown(self, spark, tmp_path):
@@ -135,7 +130,7 @@ class TestStore:
         df, got_schema = store.open_store(spark, tmp_path / "st")
         assert got_schema == schema
         assert df.count() == cdf_s.count()
-        scan = store.scan_with_pushdown(spark, tmp_path / "st", 10, 20)
+        scan = store.overlapping(df, got_schema, 10, 20)
         filters = store.pushed_filters(scan)
         assert "b0_hi" in filters or "b0_lo" in filters, filters
         rows = scan.toPandas()
@@ -151,10 +146,7 @@ class TestStore:
             pd.DataFrame([(5, 1), (5, 2), (6, 1)], columns=["b0", "b1"]),
             ["b0", "b1"],
         )
-        got = collect_cells(
-            theta_join_spark(query_to_spark(spark, q), df, sch, bucket_width=16),
-            ["a0", "a1"],
-        )
+        got = collect_cells(chain_query_spark(spark, q, [(df, sch)]), ["a0", "a1"])
         want = pd.DataFrame(
             [(5, 1), (5, 2), (6, 1)], columns=["a0", "a1"]
         ).sort_values(["a0", "a1"]).reset_index(drop=True)

@@ -158,3 +158,15 @@ class TestRandomEquivalence:
         merged = got.merge(true_cells, how="outer", indicator=True)
         assert (merged["_merge"] != "right_only").all()  # superset holds
         assert len(got) >= len(true_cells)
+
+
+@pytest.mark.parametrize("cells", [[3, 4, 5, 20], [500, 501]], ids=["hit", "out_of_range"])
+def test_query_intervals_are_int64(cells):
+    """Queries and their results keep the finalized table's int64 layout."""
+    rel = pd.DataFrame([(b, b, a1) for b in range(30) for a1 in range(4)], columns=["b0", "a0", "a1"])
+    schema = backward_schema(1, 2)
+    cdf = provrc.compress(rel, schema)
+    q = provrc.encode_query(pd.DataFrame({"b0": cells}), ["b0"])
+    for out in (q, theta_join(q, cdf, schema), chain_query(q, [(cdf, schema)])):
+        assert all(str(t) == "int64" for t in out.dtypes), out.dtypes
+    assert theta_join(q, cdf, schema).empty == (cells[0] >= 30)
