@@ -43,20 +43,21 @@ from repro.core.model import LineageSchema
 
 def to_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
     """Scalar integer columns -> degenerate ``[v, v]`` interval columns."""
-    out = pd.DataFrame(index=df.index)
+    out = {}
     for c in cols:
-        v = df[c].astype("float64")
+        v = df[c].to_numpy(dtype="float64")
         out[rg.lo(c)] = v
         out[rg.hi(c)] = v
-    return out.reset_index(drop=True)
+    return pd.DataFrame(out)
 
 
 def _encode_value_pass(df: pd.DataFrame, target: str, other_cols: list[str]) -> pd.DataFrame:
     """One multi-attribute range-encoding pass (paper §IV.A step 1).
 
     Merges maximal runs of consecutive ``target`` values whose *every*
-    other attribute matches exactly. Vectorized gaps-and-islands; no
-    Python row loop.
+    other attribute matches exactly. Vectorized gaps-and-islands: each
+    run keeps its first row, with the ``hi`` of its last row gathered by
+    index; no Python row loop.
     """
     if df.empty:
         return df
@@ -64,18 +65,15 @@ def _encode_value_pass(df: pd.DataFrame, target: str, other_cols: list[str]) -> 
     for c in other_cols:
         sort_cols += [rg.lo(c), rg.hi(c)]
     sort_cols.append(rg.lo(target))
-    df = df.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
-    grp = rg.group_changed(df, other_cols) if other_cols else np.zeros(len(df), dtype=bool)
+    df = rg.sort_rows(df, sort_cols)
     t_lo = df[rg.lo(target)].to_numpy()
     t_hi = df[rg.hi(target)].to_numpy()
-    contig = np.zeros(len(df), dtype=bool)
-    contig[1:] = t_lo[1:] == t_hi[:-1] + 1
-    new_run = grp | ~contig
-    new_run[0] = True
-    run_id = np.cumsum(new_run)
-    agg = {c: "first" for c in df.columns}
-    agg[rg.hi(target)] = "last"
-    return df.groupby(run_id, sort=False).agg(agg).reset_index(drop=True)
+    new_run = rg.group_changed(df, other_cols)
+    new_run[1:] |= t_lo[1:] != t_hi[:-1] + 1
+    starts = np.flatnonzero(new_run)
+    out = rg.take_rows(df, starts)
+    out[rg.hi(target)] = t_hi[np.append(starts[1:], len(df)) - 1]
+    return out
 
 
 def _range_encode(work: pd.DataFrame, targets: list[str], cols: list[str]) -> pd.DataFrame:
@@ -88,6 +86,26 @@ def _range_encode(work: pd.DataFrame, targets: list[str], cols: list[str]) -> pd
 def _candidates(val: str, key_cols: tuple[str, ...]) -> list[str]:
     """Representation candidates for one value attribute (abs + all deltas)."""
     return [val] + [rg.delta(val, k) for k in key_cols]
+
+
+def _orderings(val_cols: tuple[str, ...]) -> list[tuple[tuple[str, ...], str]]:
+    """The sort orderings a key pass tries, in order, as
+    ``(value-column order, mode)``; the greedy scan is order-dependent
+    and no single sort serves every pattern:
+
+    - ``((), "abs")``: target first — delta-run friendly (tile offsets);
+    - ``(rot, "abs")``: one value's absolute interval first — clusters
+      same-value runs (cross's a1 in {0, 2});
+    - ``(rot, "delta")``: one value's delta columns first — clusters
+      same-shift runs when a key has several deltas (gradient's i-1 /
+      i+1 windows).
+    """
+    orderings: list[tuple[tuple[str, ...], str]] = [((), "abs")]
+    for i in range(len(val_cols)):
+        rot = tuple(val_cols[i:] + val_cols[:i])
+        orderings.append((rot, "abs"))
+        orderings.append((rot, "delta"))
+    return orderings
 
 
 def _encode_key_pass(
@@ -105,48 +123,46 @@ def _encode_key_pass(
     cross's a1 in {0, 2}), while a delta-monotone attribute sorts
     harmlessly anywhere. So the pass scans once per rotation of the
     value-column order and keeps, per group of the other key attributes,
-    the rotation producing the fewest rows. Every scan is independently
-    lossless, and per-group selection makes the result identical whether
-    the pass runs globally (pandas kernel) or per bucket (Spark).
+    the rotation producing the fewest rows (a later ordering replaces a
+    group only with strictly fewer rows). Once every group is down to one
+    row no ordering can improve on it, and the remaining ones are not
+    tried. Every scan is independently lossless, and per-group selection
+    makes the result identical whether the pass runs globally (pandas
+    kernel) or per bucket (Spark).
     """
     if df.empty:
         return df
-    # Candidate sort orderings, because the greedy scan is order-dependent
-    # and no single sort serves every pattern:
-    # - ((), 'abs'):      target first — delta-run friendly (tile offsets);
-    # - (rot, 'abs'):     one value's absolute interval first — clusters
-    #                     same-value runs (cross's a1 in {0, 2});
-    # - (rot, 'delta'):   one value's delta columns first — clusters
-    #                     same-shift runs when a key has several deltas
-    #                     (gradient's i-1 / i+1 windows).
-    orderings: list[tuple[tuple[str, ...], str]] = [((), "abs")]
-    for i in range(len(val_cols)):
-        rot = tuple(val_cols[i:] + val_cols[:i])
-        orderings.append((rot, "abs"))
-        orderings.append((rot, "delta"))
+    (order, mode), *later = _orderings(val_cols)
     grp_cols = [c for k in other_keys for c in (rg.lo(k), rg.hi(k))]
-    best: pd.DataFrame | None = None
-    for order, mode in orderings:
+    best = _scan_key_pass(df, target, other_keys, order, val_cols, key_cols, mode)
+    # A scan's output is sorted by the other keys first, so its group
+    # starts count the groups (the same in every ordering's output).
+    n_groups = int(rg.group_changed(best, other_keys).sum())
+    for order, mode in later:
+        if len(best) == n_groups:
+            break
         out = _scan_key_pass(df, target, other_keys, order, val_cols, key_cols, mode)
-        if best is None:
-            best = out
-            continue
         if not grp_cols:
             if len(out) < len(best):
                 best = out
             continue
-        counts_new = out.groupby(grp_cols, dropna=False, sort=False).size()
-        counts_old = best.groupby(grp_cols, dropna=False, sort=False).size()
-        better = counts_new[counts_new < counts_old.reindex(counts_new.index)].index
-        if len(better):
-            better_set = set(better if isinstance(better, pd.MultiIndex) else [(b,) for b in better])
-            key_new = out[grp_cols].apply(tuple, axis=1)
-            key_old = best[grp_cols].apply(tuple, axis=1)
-            best = pd.concat(
-                [best[~key_old.isin(better_set)], out[key_new.isin(better_set)]],
-                ignore_index=True,
-            )
+        codes = (
+            pd.concat([best[grp_cols], out[grp_cols]], ignore_index=True)
+            .groupby(grp_cols, dropna=False, sort=False)
+            .ngroup()
+            .to_numpy()
+        )
+        # Both outputs hold every group, so both counts cover every code.
+        old, new = codes[: len(best)], codes[len(best):]
+        better = np.bincount(new) < np.bincount(old)
+        if better.any():
+            best = pd.concat([best[~better[old]], out[better[new]]], ignore_index=True)
     return best.reset_index(drop=True)
+
+
+def _after(mask: np.ndarray) -> np.ndarray:
+    """For each index t, the smallest u > t with ``mask[u]`` (n if none)."""
+    return np.append(rg.next_true_at_or_after(mask)[1:], len(mask))
 
 
 def _scan_key_pass(
@@ -160,7 +176,17 @@ def _scan_key_pass(
 ) -> pd.DataFrame:
     """One greedy scan with a fixed sort order (see ``_encode_key_pass``).
 
-    Jumps between precomputed next-change indices, so cost is O(#runs).
+    After sorting, a run starting at row ``s`` extends to
+
+        e(s) = min(next_hard_after(s) - 1,
+                   min over v of max(s, max over c of next_brk_after[c](s) - 1))
+
+    where ``hard`` marks a change of the other keys or a gap in the
+    target, and ``c`` ranges over value ``v``'s candidate representations
+    that are non-null at ``s``: a run may grow as long as every value
+    attribute keeps at least one representation constant. ``e`` is
+    computed for every row at once; the scan then only follows
+    ``s -> e(s) + 1`` from row 0, one step per output row.
     """
     cand_cols = [c for v in val_cols for c in _candidates(v, key_cols)]
     sort_cols = []
@@ -177,49 +203,42 @@ def _scan_key_pass(
     for c in cand_cols:
         if rg.lo(c) not in sort_cols:
             sort_cols += [rg.lo(c), rg.hi(c)]
-    df = df.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
+    df = rg.sort_rows(df, sort_cols)
     n = len(df)
 
     t_lo = df[rg.lo(target)].to_numpy()
     t_hi = df[rg.hi(target)].to_numpy()
-    grp = rg.group_changed(df, other_keys) if other_keys else np.zeros(n, dtype=bool)
-    contig = np.zeros(n, dtype=bool)
-    contig[1:] = t_lo[1:] == t_hi[:-1] + 1
-    hard = grp | ~contig
-    hard[0] = True
-    next_hard = rg.next_true_at_or_after(hard)
-
-    next_brk = {c: rg.next_true_at_or_after(rg.pair_changed(df, c)) for c in cand_cols}
+    hard = rg.group_changed(df, other_keys)
+    hard[1:] |= t_lo[1:] != t_hi[:-1] + 1
+    brk_after = {c: _after(rg.pair_changed(df, c)) for c in cand_cols}
     notnull = {c: ~np.isnan(df[rg.lo(c)].to_numpy()) for c in cand_cols}
 
-    starts: list[int] = []
-    ends: list[int] = []
+    idx = np.arange(n)
+    end = _after(hard) - 1
+    for v in val_cols:
+        ext = idx
+        for c in _candidates(v, key_cols):
+            ext = np.where(notnull[c], np.maximum(ext, brk_after[c] - 1), ext)
+        end = np.minimum(end, ext)
+
+    nxt = (end + 1).tolist()
+    starts = []
     s = 0
     while s < n:
-        e = next_hard[s + 1] - 1 if s + 1 < n else n - 1
-        for v in val_cols:
-            ext_v = s
-            for c in _candidates(v, key_cols):
-                if notnull[c][s]:
-                    ext_c = (next_brk[c][s + 1] - 1) if s + 1 < n else n - 1
-                    ext_v = max(ext_v, ext_c)
-            e = min(e, ext_v)
         starts.append(s)
-        ends.append(e)
-        s = e + 1
-
+        s = nxt[s]
     s_arr = np.asarray(starts)
-    e_arr = np.asarray(ends)
-    out = df.iloc[s_arr].reset_index(drop=True)
+    e_arr = end[s_arr]
+    out = rg.take_rows(df, s_arr)
     out[rg.hi(target)] = t_hi[e_arr]
     # Null out candidate representations that did not survive their run.
     for c in cand_cols:
-        survived = notnull[c][s_arr] & (
-            np.where(s_arr + 1 < n, next_brk[c][np.minimum(s_arr + 1, n - 1)], n) > e_arr
-        )
-        dead = ~survived
+        dead = ~(notnull[c][s_arr] & (brk_after[c][s_arr] > e_arr))
         if dead.any():
-            out.loc[dead, [rg.lo(c), rg.hi(c)]] = np.nan
+            for col in (rg.lo(c), rg.hi(c)):
+                vals = out[col].to_numpy().copy()
+                vals[dead] = np.nan
+                out[col] = vals
     return out
 
 

@@ -6,6 +6,10 @@ int64: key ``lo``/``hi`` pairs plus, per value attribute, a ``rep`` code
 and the chosen representation's ``lo``/``hi``. Only the candidate columns
 inside ProvRC's step-2 key passes are float64 with NaN = absent; float64
 represents integers exactly up to 2**53, far beyond any array index here.
+
+The primitives are whole-column numpy: ``sort_rows`` (a stable
+``np.lexsort``, NaN last), change masks, next-change indices and the
+group-wise union sweep. None of them loops over rows in Python.
 """
 from __future__ import annotations
 
@@ -39,19 +43,40 @@ def delta(val: str, key: str) -> str:
     return f"{val}__{key}"
 
 
+def sort_rows(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
+    """Rows of ``df`` sorted by ``cols``, stable, NaN last, fresh index.
+
+    The same order as ``df.sort_values(cols, kind="mergesort")``, from one
+    ``np.lexsort`` over the raw columns instead of pandas' per-column
+    ``Categorical`` codes.
+    """
+    return take_rows(df, np.lexsort([df[c].to_numpy() for c in reversed(cols)]))
+
+
+def take_rows(df: pd.DataFrame, rows: np.ndarray) -> pd.DataFrame:
+    """Rows ``rows`` of ``df`` under a fresh ``RangeIndex``.
+
+    ``take(...).reset_index(drop=True)`` without the second full copy
+    that ``reset_index`` makes.
+    """
+    out = df.take(rows)
+    out.index = pd.RangeIndex(len(out))
+    return out
+
+
 def pair_changed(df: pd.DataFrame, col: str) -> np.ndarray:
     """Boolean mask: row t's ``[lo, hi]`` for ``col`` differs from row t-1's.
 
     NaN-aware: two NaNs compare equal (same "absent" state); NaN vs value
     is a change. Row 0 is always marked changed.
     """
-    out = np.zeros(len(df), dtype=bool)
+    same = np.ones(max(len(df) - 1, 0), dtype=bool)
     for c in (lo(col), hi(col)):
         v = df[c].to_numpy()
-        prev = np.roll(v, 1)
-        neq = (v != prev) & ~(np.isnan(v) & np.isnan(prev))
-        out |= neq
-    out[0] = True
+        nan = np.isnan(v)
+        same &= (v[1:] == v[:-1]) | (nan[1:] & nan[:-1])
+    out = np.ones(len(df), dtype=bool)
+    out[1:] = ~same
     return out
 
 
@@ -68,8 +93,8 @@ def next_true_at_or_after(mask: np.ndarray) -> np.ndarray:
     """For each index t, the smallest u >= t with ``mask[u]`` (n if none).
 
     Computed with one reversed running-minimum — O(n), no Python loop.
-    Used by the jump-based greedy scan in ProvRC step 2 so its cost is
-    O(#runs) instead of O(#rows x run length).
+    ProvRC step 2 derives every row's candidate run end from these
+    next-change indices in one vectorized expression.
     """
     n = len(mask)
     idx = np.where(mask, np.arange(n), n)
@@ -106,28 +131,26 @@ def union_sweep(df: pd.DataFrame, col: str, group_cols: list[str]) -> pd.DataFra
     exactly for two rows to merge. Used by the θ-join's row-reduction
     ("merge") optimization, which unions intervals (subsuming the paper's
     adjacent-interval merge) to minimize rows fed to the next join.
+    Intervals must be valid (``lo <= hi``).
     """
     if df.empty:
         return df
     sort_cols = [lo(g) for g in group_cols] + [hi(g) for g in group_cols] + [lo(col), hi(col)]
-    df = df.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
-    grp = group_changed(df, group_cols) if group_cols else np.zeros(len(df), dtype=bool)
-    if len(grp):
-        grp[0] = True
+    df = sort_rows(df, sort_cols)
+    run_start = group_changed(df, group_cols)
     lo_v = df[lo(col)].to_numpy()
     hi_v = df[hi(col)].to_numpy()
-    # Running max of hi within group: an interval starts a new run iff its
-    # lo exceeds (running max hi) + 1 or the group changed.
-    run_start = np.zeros(len(df), dtype=bool)
-    run_max = -np.inf
-    for t in range(len(df)):
-        if grp[t] or lo_v[t] > run_max + 1:
-            run_start[t] = True
-            run_max = hi_v[t]
-        else:
-            run_max = max(run_max, hi_v[t])
-    run_id = np.cumsum(run_start)
-    agg = {c: "first" for c in df.columns}
-    agg[lo(col)] = "first"
-    agg[hi(col)] = "max"
-    return df.groupby(run_id, sort=False).agg(agg).reset_index(drop=True)
+    # An interval starts a new run iff its group changed or its lo exceeds
+    # (running max of hi over the group's earlier rows) + 1. The running
+    # max never crosses a group: each group's hi is lifted above every
+    # earlier group's by its group id times the value range.
+    gid = np.cumsum(run_start) - 1
+    base = hi_v.min()
+    width = hi_v.max() - base + 1
+    lifted = gid * width + (hi_v - base)
+    run_max = np.maximum.accumulate(lifted) - gid * width + base
+    run_start[1:] |= lo_v[1:] > run_max[:-1] + 1
+    starts = np.flatnonzero(run_start)
+    out = take_rows(df, starts)
+    out[hi(col)] = np.maximum.reduceat(hi_v, starts)
+    return out

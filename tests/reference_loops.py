@@ -1,0 +1,142 @@
+"""Row-at-a-time reference implementations of vectorized kernel loops.
+
+These are the straightforward Python loops that ``provrc._scan_key_pass``,
+``provrc._encode_key_pass`` and ``ranges.union_sweep`` replace with
+whole-column numpy. Tests compare the two on random inputs; nothing in
+``src/`` imports this module.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pandas as pd
+
+from repro.core import ranges as rg
+from repro.core.provrc import _candidates, _orderings
+
+
+def scan_key_pass_loop(
+    df: pd.DataFrame,
+    target: str,
+    other_keys: list[str],
+    sort_val_order: tuple[str, ...],
+    val_cols: tuple[str, ...],
+    key_cols: tuple[str, ...],
+    sort_mode: str = "abs",
+) -> pd.DataFrame:
+    """The greedy step-2 scan, one run per loop iteration."""
+    cand_cols = [c for v in val_cols for c in _candidates(v, key_cols)]
+    sort_cols = []
+    for c in other_keys:
+        sort_cols += [rg.lo(c), rg.hi(c)]
+    for v in sort_val_order:
+        if sort_mode == "delta":
+            for k in key_cols:
+                d = rg.delta(v, k)
+                sort_cols += [rg.lo(d), rg.hi(d)]
+        else:
+            sort_cols += [rg.lo(v), rg.hi(v)]
+    sort_cols.append(rg.lo(target))
+    for c in cand_cols:
+        if rg.lo(c) not in sort_cols:
+            sort_cols += [rg.lo(c), rg.hi(c)]
+    df = df.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
+    n = len(df)
+
+    t_lo = df[rg.lo(target)].to_numpy()
+    t_hi = df[rg.hi(target)].to_numpy()
+    grp = rg.group_changed(df, other_keys) if other_keys else np.zeros(n, dtype=bool)
+    contig = np.zeros(n, dtype=bool)
+    contig[1:] = t_lo[1:] == t_hi[:-1] + 1
+    hard = grp | ~contig
+    hard[0] = True
+    next_hard = rg.next_true_at_or_after(hard)
+
+    next_brk = {c: rg.next_true_at_or_after(rg.pair_changed(df, c)) for c in cand_cols}
+    notnull = {c: ~np.isnan(df[rg.lo(c)].to_numpy()) for c in cand_cols}
+
+    starts: list[int] = []
+    ends: list[int] = []
+    s = 0
+    while s < n:
+        e = next_hard[s + 1] - 1 if s + 1 < n else n - 1
+        for v in val_cols:
+            ext_v = s
+            for c in _candidates(v, key_cols):
+                if notnull[c][s]:
+                    ext_c = (next_brk[c][s + 1] - 1) if s + 1 < n else n - 1
+                    ext_v = max(ext_v, ext_c)
+            e = min(e, ext_v)
+        starts.append(s)
+        ends.append(e)
+        s = e + 1
+
+    s_arr = np.asarray(starts)
+    e_arr = np.asarray(ends)
+    out = df.iloc[s_arr].reset_index(drop=True)
+    out[rg.hi(target)] = t_hi[e_arr]
+    for c in cand_cols:
+        survived = notnull[c][s_arr] & (
+            np.where(s_arr + 1 < n, next_brk[c][np.minimum(s_arr + 1, n - 1)], n) > e_arr
+        )
+        dead = ~survived
+        if dead.any():
+            out.loc[dead, [rg.lo(c), rg.hi(c)]] = np.nan
+    return out
+
+
+def encode_key_pass_all_orderings(
+    df: pd.DataFrame,
+    target: str,
+    other_keys: list[str],
+    val_cols: tuple[str, ...],
+    key_cols: tuple[str, ...],
+) -> pd.DataFrame:
+    """A key pass that scans every ordering and picks per group by tuple sets."""
+    grp_cols = [c for k in other_keys for c in (rg.lo(k), rg.hi(k))]
+    best: pd.DataFrame | None = None
+    for order, mode in _orderings(val_cols):
+        out = scan_key_pass_loop(df, target, other_keys, order, val_cols, key_cols, mode)
+        if best is None:
+            best = out
+            continue
+        if not grp_cols:
+            if len(out) < len(best):
+                best = out
+            continue
+        counts_new = out.groupby(grp_cols, dropna=False, sort=False).size()
+        counts_old = best.groupby(grp_cols, dropna=False, sort=False).size()
+        better = counts_new[counts_new < counts_old.reindex(counts_new.index)].index
+        if len(better):
+            better_set = set(better if isinstance(better, pd.MultiIndex) else [(b,) for b in better])
+            key_new = out[grp_cols].apply(tuple, axis=1)
+            key_old = best[grp_cols].apply(tuple, axis=1)
+            best = pd.concat(
+                [best[~key_old.isin(better_set)], out[key_new.isin(better_set)]],
+                ignore_index=True,
+            )
+    return best.reset_index(drop=True)
+
+
+def union_sweep_loop(df: pd.DataFrame, col: str, group_cols: list[str]) -> pd.DataFrame:
+    """Union of overlapping or adjacent intervals per group, one row per step."""
+    if df.empty:
+        return df
+    sort_cols = [rg.lo(g) for g in group_cols] + [rg.hi(g) for g in group_cols]
+    sort_cols += [rg.lo(col), rg.hi(col)]
+    df = df.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
+    grp = rg.group_changed(df, group_cols) if group_cols else np.zeros(len(df), dtype=bool)
+    grp[0] = True
+    lo_v = df[rg.lo(col)].to_numpy()
+    hi_v = df[rg.hi(col)].to_numpy()
+    run_start = np.zeros(len(df), dtype=bool)
+    run_max = -np.inf
+    for t in range(len(df)):
+        if grp[t] or lo_v[t] > run_max + 1:
+            run_start[t] = True
+            run_max = hi_v[t]
+        else:
+            run_max = max(run_max, hi_v[t])
+    run_id = np.cumsum(run_start)
+    agg = {c: "first" for c in df.columns}
+    agg[rg.hi(col)] = "max"
+    return df.groupby(run_id, sort=False).agg(agg).reset_index(drop=True)

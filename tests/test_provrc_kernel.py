@@ -9,6 +9,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.capture import patterns as pt
 from repro.core import provrc
 from repro.core.model import backward_schema, forward_schema
 from repro.core.ranges import hi, lo, rep
@@ -126,6 +127,21 @@ class TestStep2:
         back = provrc.decompress(cdf, schema)
         expect = df.sort_values(["b0", "a0"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(back, expect, check_dtype=False)
+
+    def test_key_pass_stops_once_every_group_is_one_row(self, monkeypatch):
+        """Identity lineage is one row per group after the first ordering,
+        so each key pass scans once instead of 1 + 2·|val| times."""
+        targets = []
+        scan = provrc._scan_key_pass
+
+        def counting(df, target, *args):
+            targets.append(target)
+            return scan(df, target, *args)
+
+        monkeypatch.setattr(provrc, "_scan_key_pass", counting)
+        cdf = provrc.compress(pt.identity((12, 12)), backward_schema(2, 2))
+        assert targets == ["b1", "b0"]
+        assert len(cdf) == 1
 
 
 class TestRoundTrip:

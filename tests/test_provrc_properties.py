@@ -5,14 +5,18 @@
 - in-situ queries over independent-pattern relations return exactly the
   ground-truth cell set;
 - the query result is always a superset of ground truth (even for
-  correlated-delta patterns, where exactness is not promised — DESIGN.md).
+  correlated-delta patterns, where exactness is not promised — DESIGN.md);
+- the vectorized step-2 key pass returns the same frame as the
+  row-at-a-time reference in ``tests/reference_loops.py``, per ordering
+  and for the whole pass.
 """
 import pandas as pd
 from hypothesis import given, settings, strategies as st
 
 from repro.core import provrc
-from repro.core.model import backward_schema
+from repro.core.model import backward_schema, forward_schema
 from repro.insitu.theta_join import intervals_to_cells, theta_join
+from tests.reference_loops import encode_key_pass_all_orderings, scan_key_pass_loop
 
 relation_1x1 = st.lists(
     st.tuples(st.integers(0, 12), st.integers(0, 12)),
@@ -31,6 +35,28 @@ relation_2x1 = st.lists(
     min_size=1,
     max_size=80,
 ).map(lambda rows: pd.DataFrame(rows, columns=["b0", "b1", "a0"]))
+
+# The schema of element-wise, conv and repetition lineage over 2-D arrays:
+# either arbitrary rows, or each input cell a small shift of its output
+# cell (the structured case, where deltas survive).
+relation_2x2 = st.one_of(
+    st.lists(
+        st.tuples(*[st.integers(0, 5)] * 4),
+        min_size=1,
+        max_size=80,
+    ),
+    st.lists(
+        st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(-1, 1), st.integers(-1, 1)),
+        min_size=1,
+        max_size=80,
+    ).map(lambda rows: [(b0, b1, b0 + d0, b1 + d1) for b0, b1, d0, d1 in rows]),
+).map(lambda rows: pd.DataFrame(rows, columns=["b0", "b1", "a0", "a1"]))
+
+
+def _schema_of(rel: pd.DataFrame, forward: bool):
+    n_b = sum(c.startswith("b") for c in rel.columns)
+    n_a = len(rel.columns) - n_b
+    return forward_schema(n_b, n_a) if forward else backward_schema(n_b, n_a)
 
 
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
@@ -64,6 +90,35 @@ def test_roundtrip_2x1(rel):
     schema = backward_schema(2, 1)
     back = provrc.decompress(provrc.compress(rel, schema), schema)
     pd.testing.assert_frame_equal(_canon(back), _canon(rel), check_dtype=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relation_2x2)
+def test_roundtrip_2x2(rel):
+    schema = backward_schema(2, 2)
+    back = provrc.decompress(provrc.compress(rel, schema), schema)
+    pd.testing.assert_frame_equal(_canon(back), _canon(rel), check_dtype=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(relation_1x2, relation_2x1, relation_2x2), st.booleans())
+def test_scan_matches_loop_reference(rel, forward):
+    """Every ordering's scan, and each whole key pass, on the candidate
+    forms ``compress`` feeds them (later passes see NaN candidates)."""
+    schema = _schema_of(rel, forward)
+    work = provrc._encode_values(rel.drop_duplicates(), schema)
+    for j in range(schema.n_key - 1, -1, -1):
+        target = schema.key_cols[j]
+        others = [c for c in schema.key_cols if c != target]
+        args = (schema.val_cols, schema.key_cols)
+        for order, mode in provrc._orderings(schema.val_cols):
+            got = provrc._scan_key_pass(work, target, others, order, *args, mode)
+            want = scan_key_pass_loop(work, target, others, order, *args, mode)
+            pd.testing.assert_frame_equal(got, want, check_exact=True)
+        got = provrc._encode_key_pass(work, target, others, *args)
+        want = encode_key_pass_all_orderings(work, target, others, *args)
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
+        work = got
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,8 +2,10 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ranges as rg
+from tests.reference_loops import union_sweep_loop
 
 
 def interval_df(pairs, col="x"):
@@ -81,6 +83,30 @@ class TestUnionSweep:
         df[rg.hi("g")] = [0.0, 0.0, 1.0]
         out = rg.union_sweep(df, "x", ["g"])
         assert len(out) == 2  # group 0 merges [0,3]; group 1 stays
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 20), st.integers(0, 4)),
+            min_size=1,
+            max_size=60,
+        ),
+        st.integers(0, 2),
+    )
+    def test_matches_loop_reference(self, rows, n_groups):
+        """Random grouped interval sets (int64, as the θ-join's merge sees
+        them): same rows, order and dtypes as the row-at-a-time sweep."""
+        cols = {}
+        for j in range(n_groups):
+            cols[rg.lo(f"g{j}")] = [r[2 * j] for r in rows]
+            cols[rg.hi(f"g{j}")] = [r[2 * j] + r[2 * j + 1] for r in rows]
+        cols[rg.lo("x")] = [r[4] for r in rows]
+        cols[rg.hi("x")] = [r[4] + r[5] for r in rows]
+        df = pd.DataFrame(cols, dtype="int64")
+        groups = [f"g{j}" for j in range(n_groups)]
+        pd.testing.assert_frame_equal(
+            rg.union_sweep(df, "x", groups), union_sweep_loop(df, "x", groups)
+        )
 
 
 class TestGroupChanged:
