@@ -248,6 +248,12 @@ def interval_columns(schema: LineageSchema) -> list[str]:
     return cols + [c for v in schema.val_cols for c in (rg.rep(v), rg.lo(v), rg.hi(v))]
 
 
+def value_columns(schema: LineageSchema) -> list[str]:
+    """Absolute value intervals, ``lo``/``hi`` per value attribute: the
+    columns of a θ-join result and of ``absolute_values``' output."""
+    return [c for v in schema.val_cols for c in (rg.lo(v), rg.hi(v))]
+
+
 def _encode_values(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     """Step 1 (value range encoding) plus the relative value transformation.
 
@@ -308,28 +314,25 @@ def finalize(cdf: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     return pd.DataFrame(out, columns=interval_columns(schema)).astype("int64")
 
 
-def absolute_values(
-    cdf: pd.DataFrame,
-    schema: LineageSchema,
-    key_lo: list[np.ndarray],
-    key_hi: list[np.ndarray],
-) -> pd.DataFrame:
+def absolute_values(vals: np.ndarray, key_lo: np.ndarray, key_hi: np.ndarray) -> np.ndarray:
     """Absolute ``lo``/``hi`` of every value attribute (the paper's rel_back).
 
-    A value stored relative to key ``j`` with delta ``[d1, d2]``, over key
-    interval ``[x1, x2]`` (``key_lo[j]``, ``key_hi[j]``), covers exactly
-    ``[x1 + d1, x2 + d2]``. One gather per value attribute:
-    ``lo + [0, k0_lo, k1_lo, …][rep]``, and the same for ``hi``.
+    ``vals`` holds the value columns of ``interval_columns`` (``rep``,
+    ``lo``, ``hi`` per value attribute), ``key_lo``/``key_hi`` one column
+    per key attribute; all int64 with one row per table row. A value
+    stored relative to key ``j`` with delta ``[d1, d2]``, over key interval
+    ``[x1, x2]`` (``key_lo[:, j]``, ``key_hi[:, j]``), covers exactly
+    ``[x1 + d1, x2 + d2]``. One gather for all value attributes:
+    ``lo + [0, k0_lo, k1_lo, …][rep]``, and the same for ``hi``. Returns
+    ``lo``, ``hi`` per value attribute, in that column order.
     """
-    rows = np.arange(len(cdf))
-    zero = np.zeros(len(cdf), dtype=np.int64)
-    lo_shift = np.column_stack([zero, *key_lo])
-    hi_shift = np.column_stack([zero, *key_hi])
-    out = pd.DataFrame(index=cdf.index)
-    for v in schema.val_cols:
-        code = cdf[rg.rep(v)].to_numpy()
-        out[rg.lo(v)] = cdf[rg.lo(v)].to_numpy() + lo_shift[rows, code]
-        out[rg.hi(v)] = cdf[rg.hi(v)].to_numpy() + hi_shift[rows, code]
+    n = len(vals)
+    rows = np.arange(n)[:, None]
+    code = vals[:, 0::3]
+    zero = np.zeros((n, 1), dtype=np.int64)
+    out = np.empty((n, 2 * code.shape[1]), dtype=np.int64)
+    out[:, 0::2] = vals[:, 1::3] + np.hstack([zero, key_lo])[rows, code]
+    out[:, 1::2] = vals[:, 2::3] + np.hstack([zero, key_hi])[rows, code]
     return out
 
 
@@ -344,9 +347,11 @@ def decompress(cdf: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     work = cdf.reset_index(drop=True)
     for k in schema.key_cols:
         work = rg.explode_interval(work, k, f"__{k}")
-    keys = [work[f"__{k}"].to_numpy() for k in schema.key_cols]
-    vals = absolute_values(work, schema, keys, keys)
-    work = pd.concat([work[[f"__{k}" for k in schema.key_cols]], vals], axis=1)
+    keys = work[[f"__{k}" for k in schema.key_cols]]
+    key_m = keys.to_numpy(np.int64)
+    val_layout = interval_columns(schema)[2 * len(schema.key_cols) :]
+    vals = absolute_values(work[val_layout].to_numpy(np.int64), key_m, key_m)
+    work = pd.concat([keys, pd.DataFrame(vals, columns=value_columns(schema))], axis=1)
     for v in schema.val_cols:
         work = rg.explode_interval(work, v, f"__{v}")
     out = pd.DataFrame({c: work[f"__{c}"].astype("int64") for c in schema.full_cols})

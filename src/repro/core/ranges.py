@@ -8,8 +8,10 @@ inside ProvRC's step-2 key passes are float64 with NaN = absent; float64
 represents integers exactly up to 2**53, far beyond any array index here.
 
 The primitives are whole-column numpy: ``sort_rows`` (a stable
-``np.lexsort``, NaN last), change masks, next-change indices and the
-group-wise union sweep. None of them loops over rows in Python.
+``np.lexsort``, NaN last), change masks, next-change indices, interval
+expansion (``expand``) and the group-wise union sweep, which works on
+one int64 matrix rather than a frame. None of them loops over rows in
+Python.
 """
 from __future__ import annotations
 
@@ -101,45 +103,64 @@ def next_true_at_or_after(mask: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(idx[::-1])[::-1]
 
 
+def expand(lo_v: np.ndarray, hi_v: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer of every interval ``[lo_v[i], hi_v[i]]``.
+
+    Returns ``(row, value)``: the source row of each integer and the
+    integer itself, rows in order and values ascending within a row.
+    Vectorized via ``np.repeat``. Raises ``ValueError`` naming attribute
+    ``name`` if an interval is empty or inverted.
+    """
+    counts = (hi_v - lo_v + 1).astype(np.int64)
+    if (counts <= 0).any():
+        raise ValueError(f"empty or inverted interval in {name}")
+    row = np.repeat(np.arange(len(counts)), counts)
+    return row, lo_v[row] + (np.arange(len(row)) - (np.cumsum(counts) - counts)[row])
+
+
 def explode_interval(df: pd.DataFrame, col: str, out_col: str) -> pd.DataFrame:
     """Expand interval attribute ``col`` into one row per integer value.
 
-    Vectorized via ``np.repeat``; the expanded scalar lands in ``out_col``
-    and the lo/hi pair is dropped.
+    One ``expand``; the expanded scalar lands in ``out_col`` and the
+    lo/hi pair is dropped.
     """
     if df.empty:
         out = df.drop(columns=[lo(col), hi(col)]).copy()
         out[out_col] = pd.Series(dtype="float64")
         return out
-    lo_v = df[lo(col)].to_numpy()
-    hi_v = df[hi(col)].to_numpy()
-    counts = (hi_v - lo_v + 1).astype(np.int64)
-    if (counts <= 0).any():
-        raise ValueError(f"empty or inverted interval in {col}")
-    rep = df.loc[df.index.repeat(counts)].reset_index(drop=True)
-    offsets = np.arange(counts.sum()) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-    )
-    rep[out_col] = np.repeat(lo_v, counts) + offsets
+    row, val = expand(df[lo(col)].to_numpy(), df[hi(col)].to_numpy(), col)
+    rep = df.iloc[row].reset_index(drop=True)
+    rep[out_col] = val
     return rep.drop(columns=[lo(col), hi(col)])
 
 
-def union_sweep(df: pd.DataFrame, col: str, group_cols: list[str]) -> pd.DataFrame:
-    """Merge overlapping or adjacent intervals of ``col`` per group.
+def union_sweep(m: np.ndarray, col: tuple[int, int], groups: list[tuple[int, int]]) -> np.ndarray:
+    """Merge overlapping or adjacent intervals of one attribute per group.
 
-    ``group_cols`` are interval attributes (lo/hi pairs) that must match
-    exactly for two rows to merge. Used by the θ-join's row-reduction
-    ("merge") optimization, which unions intervals (subsuming the paper's
-    adjacent-interval merge) to minimize rows fed to the next join.
-    Intervals must be valid (``lo <= hi``).
+    ``m`` is an int64 matrix holding interval attributes as (lo, hi)
+    column pairs. ``col`` is the pair whose intervals are unioned;
+    ``groups`` are the pairs that must match exactly for two rows to
+    merge. Used by the θ-join's row-reduction ("merge") optimization,
+    which unions intervals (subsuming the paper's adjacent-interval
+    merge) to minimize rows fed to the next join. Intervals must be valid
+    (``lo <= hi``).
+
+    Rows come back sorted by every group ``lo``, then every group ``hi``,
+    then ``col``'s ``lo`` and ``hi`` (one stable ``np.lexsort``); each is
+    the first row of its run, with ``hi`` the run's maximum. Identical
+    rows always fall into one run, so when the pairs cover every column
+    the sweep also drops duplicate rows.
     """
-    if df.empty:
-        return df
-    sort_cols = [lo(g) for g in group_cols] + [hi(g) for g in group_cols] + [lo(col), hi(col)]
-    df = sort_rows(df, sort_cols)
-    run_start = group_changed(df, group_cols)
-    lo_v = df[lo(col)].to_numpy()
-    hi_v = df[hi(col)].to_numpy()
+    if len(m) == 0:
+        return m
+    lo_c, hi_c = col
+    keys = [g[0] for g in groups] + [g[1] for g in groups] + [lo_c, hi_c]
+    m = m[np.lexsort(m[:, keys[::-1]].T)]
+    run_start = np.ones(len(m), dtype=bool)
+    group_cols = [c for g in groups for c in g]
+    run_start[1:] = (m[1:, group_cols] != m[:-1, group_cols]).any(axis=1)
+    lo_v = m[:, lo_c]
+    hi_v = m[:, hi_c]
     # An interval starts a new run iff its group changed or its lo exceeds
     # (running max of hi over the group's earlier rows) + 1. The running
     # max never crosses a group: each group's hi is lifted above every
@@ -151,6 +172,6 @@ def union_sweep(df: pd.DataFrame, col: str, group_cols: list[str]) -> pd.DataFra
     run_max = np.maximum.accumulate(lifted) - gid * width + base
     run_start[1:] |= lo_v[1:] > run_max[:-1] + 1
     starts = np.flatnonzero(run_start)
-    out = take_rows(df, starts)
-    out[hi(col)] = np.maximum.reduceat(hi_v, starts)
+    out = m[starts]
+    out[:, hi_c] = np.maximum.reduceat(hi_v, starts)
     return out

@@ -1,7 +1,8 @@
 """In-situ query processing over compressed lineage (paper §V).
 
-- ``theta_join``: the pandas θ-join kernel — range join on key
-  intervals, de-relativization, projection, and the merge (row-reduction)
+- ``theta_join``: the θ-join kernel, int64 numpy behind a pandas
+  interface — a sort-based interval join on the primary key,
+  de-relativization, projection, and the merge (row-reduction)
   optimization.
 - ``spark_query``: chained forward/backward queries over a pipeline of
   compressed lineage tables, in Spark: the same kernel per partition of

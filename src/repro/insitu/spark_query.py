@@ -1,6 +1,6 @@
 """Chained in-situ lineage queries over compressed tables, in Spark (§V).
 
-Spark executes the pandas θ-join kernel; it does not re-express it. Each
+Spark executes the θ-join kernel; it does not re-express it. Each
 step of a chain:
 
 1. filters the stored table on the query's hull over the primary key axis
@@ -28,6 +28,7 @@ from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core import ranges as rg
 from repro.core.model import LineageSchema
+from repro.core.provrc import value_columns
 from repro.insitu import store
 from repro.insitu.theta_join import (
     as_next_query,
@@ -65,13 +66,7 @@ def _step(
         k = schema.key_cols[0]
         part = store.overlapping(cdf, schema, q[rg.lo(k)].min(), q[rg.hi(k)].max())
     part = part.coalesce(spark.sparkContext.defaultParallelism)
-    out = StructType(
-        [
-            StructField(c, LongType(), nullable=False)
-            for v in schema.val_cols
-            for c in (rg.lo(v), rg.hi(v))
-        ]
-    )
+    out = StructType([StructField(c, LongType(), nullable=False) for c in value_columns(schema)])
     return part.mapInPandas(partial(_kernel, q, schema), out)
 
 

@@ -1,20 +1,25 @@
-"""The θ-join over compressed lineage tables (paper §V.B), pandas kernel.
+"""The θ-join over compressed lineage tables (paper §V.B), numpy kernel.
 
 A query is a table of intervals over the key attributes of a compressed
-table (the paper's Q', produced by ``provrc.encode_query``). One θ-join:
+table (the paper's Q', produced by ``provrc.encode_query``). One θ-join
+works on int64 matrices from end to end:
 
-1. **Range join** — join rows whose key intervals all overlap, keeping
-   the per-attribute intersections. Because each compressed row is
-   all-to-all between its intervals (in relative space for relative
-   attributes), intersecting the key side preserves exactly the lineage
-   of the queried cells (paper Fig 4).
+1. **Range join** — an interval join on the primary key (the first key
+   attribute): the table is sorted by its ``lo``, each query row's
+   candidates are one ``searchsorted`` slice, and a residual overlap
+   test on every key attribute keeps the rows whose key intervals all
+   overlap the query row's, each cut to the intersection. Because each
+   compressed row is all-to-all between its intervals (in relative space
+   for relative attributes), intersecting the key side preserves exactly
+   the lineage of the queried cells (paper Fig 4).
 2. **De-relativize** — rebuild absolute value intervals: an attribute
    stored relative to key ``k`` with delta ``[d1, d2]`` and intersected
    key interval ``[x1, x2]`` covers exactly ``[x1 + d1, x2 + d2]`` (the
    union of shifted intervals over a contiguous key range is one
-   interval). This is the paper's ``rel_back``; the forward direction
-   uses the same formula on the forward representation (DESIGN.md
-   explains why the paper's separate ``rel_for`` is not needed).
+   interval). This is the paper's ``rel_back``
+   (``provrc.absolute_values``); the forward direction uses the same
+   formula on the forward representation (DESIGN.md explains why the
+   paper's separate ``rel_for`` is not needed).
 3. **Project + merge** — keep only the next array's attributes and merge
    overlapping/adjacent intervals per group (the paper's row-reduction
    optimization; skipping it gives the DSLog-NoMerge baseline).
@@ -30,52 +35,75 @@ import pandas as pd
 
 from repro.core import ranges as rg
 from repro.core.model import LineageSchema
-from repro.core.provrc import absolute_values
+from repro.core.provrc import absolute_values, interval_columns, value_columns
+
+# Most (query row, table row) candidate pairs gathered at once; bounds the
+# range join's working memory whatever the tables' sizes and widths.
+PAIR_BUDGET = 1 << 18
 
 
-def _overlap_join(qdf: pd.DataFrame, cdf: pd.DataFrame, key_cols: tuple[str, ...]) -> pd.DataFrame:
-    """Table rows paired with every query row whose key intervals all
-    overlap theirs, each key interval cut to the intersection.
+def _range_join(q: np.ndarray, table: list[np.ndarray], n_key: int) -> np.ndarray:
+    """Rows of the table joined with every query row whose key intervals
+    all overlap theirs, keys cut to the intersection and values made
+    absolute.
 
-    Quadratic in |query| x |table|, but only in (query row, table row)
-    index pairs, filtered one key axis at a time before any table column
-    is gathered. Spark runs it per partition of the table after filtering
-    on the query's primary-key hull, so only the overlapping partitions
-    pay it; a sort-based interval join is an open ROADMAP item.
+    ``q`` is an int64 matrix of key ``lo``/``hi`` pairs; ``table`` holds
+    the table's int64 columns in ``interval_columns`` order, so only the
+    candidate rows are ever gathered. The table is stable-sorted by its
+    primary-key ``lo``. A row overlapping ``[q_lo, q_hi]`` on that axis has
+    ``lo`` in ``[q_lo - w, q_hi]``, with ``w`` the table's widest
+    primary-key interval, so each query row's candidates are one
+    ``searchsorted`` slice whose length is known before anything is
+    gathered. Query rows are processed in consecutive chunks of at most
+    ``PAIR_BUDGET`` candidate pairs (a chunk holds at least one query row),
+    so a wide table row costs time, never |query| x |table| memory. The
+    result is in ``value_columns`` order, one row per overlapping pair,
+    ordered by query row, then table row.
     """
-    qi = np.repeat(np.arange(len(qdf)), len(cdf))
-    ri = np.tile(np.arange(len(cdf)), len(qdf))
-    for k in key_cols:
-        q_lo, q_hi = qdf[rg.lo(k)].to_numpy(), qdf[rg.hi(k)].to_numpy()
-        r_lo, r_hi = cdf[rg.lo(k)].to_numpy(), cdf[rg.hi(k)].to_numpy()
-        keep = (q_lo[qi] <= r_hi[ri]) & (r_lo[ri] <= q_hi[qi])
-        qi, ri = qi[keep], ri[keep]
-    out = cdf.take(ri).reset_index(drop=True)
-    for k in key_cols:
-        out[rg.lo(k)] = np.maximum(out[rg.lo(k)].to_numpy(), qdf[rg.lo(k)].to_numpy()[qi])
-        out[rg.hi(k)] = np.minimum(out[rg.hi(k)].to_numpy(), qdf[rg.hi(k)].to_numpy()[qi])
-    return out
-
-
-def _derelativize(joined: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
-    """Convert every value attribute of the joined table to absolute intervals."""
-    return absolute_values(
-        joined,
-        schema,
-        [joined[rg.lo(k)].to_numpy() for k in schema.key_cols],
-        [joined[rg.hi(k)].to_numpy() for k in schema.key_cols],
-    )
+    lo0, hi0 = table[0], table[1]
+    order = np.argsort(lo0, kind="stable")
+    sorted_lo = lo0[order]
+    width = (hi0 - lo0).max() if len(lo0) else 0
+    first = np.searchsorted(sorted_lo, q[:, 0] - width, side="left")
+    counts = np.searchsorted(sorted_lo, q[:, 1], side="right") - first
+    ends = np.cumsum(counts)
+    n_val = (len(table) - 2 * n_key) // 3
+    blocks = [np.empty((0, 2 * n_val), dtype=np.int64)]  # the result when nothing overlaps
+    a = 0
+    while a < len(q):
+        done = ends[a] - counts[a]
+        b = max(a + 1, int(np.searchsorted(ends, done + PAIR_BUDGET, side="right")))
+        qi = np.repeat(np.arange(a, b), counts[a:b])
+        slot = np.arange(len(qi)) - (ends[qi] - counts[qi] - done)
+        ri = order[first[qi] + slot]
+        keep = np.ones(len(qi), dtype=bool)
+        for k in range(n_key):
+            keep &= (q[qi, 2 * k] <= table[2 * k + 1][ri]) & (table[2 * k][ri] <= q[qi, 2 * k + 1])
+        qi, ri = np.divmod(np.sort(qi[keep] * len(lo0) + ri[keep]), len(lo0))
+        rows = np.column_stack([c[ri] for c in table])
+        key_lo = np.maximum(rows[:, 0 : 2 * n_key : 2], q[qi, 0::2])
+        key_hi = np.minimum(rows[:, 1 : 2 * n_key : 2], q[qi, 1::2])
+        blocks.append(absolute_values(rows[:, 2 * n_key :], key_lo, key_hi))
+        a = b
+    return np.concatenate(blocks)
 
 
 def merge_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
-    """Row-reduction: dedupe, then union-sweep each attribute in turn."""
+    """Row-reduction: union-sweep each attribute in turn, grouped by the
+    others, on one int64 matrix.
+
+    ``df``'s columns are the ``lo``/``hi`` pairs of ``cols``. Every sweep
+    sorts by all of them, so identical rows meet in one run and the first
+    sweep also drops duplicates.
+    """
     if df.empty:
         return df
-    df = df.drop_duplicates().reset_index(drop=True)
-    for c in cols:
-        others = [o for o in cols if o != c]
-        df = rg.union_sweep(df, c, others)
-    return df.reset_index(drop=True)
+    names = list(df.columns)
+    pairs = [(names.index(rg.lo(c)), names.index(rg.hi(c))) for c in cols]
+    m = df.to_numpy(np.int64)
+    for j, pair in enumerate(pairs):
+        m = rg.union_sweep(m, pair, pairs[:j] + pairs[j + 1 :])
+    return pd.DataFrame(m, columns=df.columns)
 
 
 def theta_join(
@@ -85,9 +113,17 @@ def theta_join(
     *,
     merge: bool = True,
 ) -> pd.DataFrame:
-    """One θ-join: returns absolute intervals over ``schema.val_cols``."""
-    joined = _overlap_join(qdf, cdf, schema.key_cols)
-    t = _derelativize(joined, schema)
+    """One θ-join: returns absolute int64 intervals over ``schema.val_cols``.
+
+    Empty when nothing overlaps (an empty query, an empty table or a
+    query outside the table's keys), with the same int64 columns.
+    """
+    key_cols = [c for k in schema.key_cols for c in (rg.lo(k), rg.hi(k))]
+    q = np.column_stack([qdf[c].to_numpy(np.int64) for c in key_cols])
+    table = [cdf[c].to_numpy(np.int64) for c in interval_columns(schema)]
+    t = pd.DataFrame(
+        _range_join(q, table, len(schema.key_cols)), columns=value_columns(schema)
+    )
     if merge:
         t = merge_intervals(t, list(schema.val_cols))
     return t
@@ -131,9 +167,21 @@ def as_next_query(
 
 
 def intervals_to_cells(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
-    """Expand an interval result into distinct cells (for display/oracle)."""
-    work = df.copy().reset_index(drop=True)
+    """Expand an interval result into its distinct cells, sorted (for
+    display and the oracle); int64 columns ``cols``, empty if ``df`` is.
+
+    The rows expand one attribute at a time with ``ranges.expand`` into
+    one column per attribute (the Cartesian product of each row's
+    intervals); duplicates go by hash (``drop_duplicates``) before one
+    ``np.lexsort``.
+    """
+    row = np.arange(len(df))
+    cells: list[np.ndarray] = []
     for c in cols:
-        work = rg.explode_interval(work, c, c)
-    out = work[cols].astype("int64").drop_duplicates()
-    return out.sort_values(cols, kind="mergesort").reset_index(drop=True)
+        src, val = rg.expand(
+            df[rg.lo(c)].to_numpy(np.int64)[row], df[rg.hi(c)].to_numpy(np.int64)[row], c
+        )
+        cells = [x[src] for x in cells] + [val]
+        row = row[src]
+    out = pd.DataFrame(dict(zip(cols, cells))).drop_duplicates()
+    return rg.sort_rows(out, cols)

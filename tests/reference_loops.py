@@ -2,8 +2,10 @@
 
 These are the straightforward Python loops that ``provrc._scan_key_pass``,
 ``provrc._encode_key_pass`` and ``ranges.union_sweep`` replace with
-whole-column numpy. Tests compare the two on random inputs; nothing in
-``src/`` imports this module.
+whole-column numpy, and the cross-product θ-join that
+``theta_join._range_join`` replaces with a sort-based interval join.
+Tests compare the two on random inputs; nothing in ``src/`` imports this
+module.
 """
 from __future__ import annotations
 
@@ -11,7 +13,14 @@ import numpy as np
 import pandas as pd
 
 from repro.core import ranges as rg
-from repro.core.provrc import _candidates, _orderings
+from repro.core.model import LineageSchema
+from repro.core.provrc import (
+    _candidates,
+    _orderings,
+    absolute_values,
+    interval_columns,
+    value_columns,
+)
 
 
 def scan_key_pass_loop(
@@ -140,3 +149,48 @@ def union_sweep_loop(df: pd.DataFrame, col: str, group_cols: list[str]) -> pd.Da
     agg = {c: "first" for c in df.columns}
     agg[rg.hi(col)] = "max"
     return df.groupby(run_id, sort=False).agg(agg).reset_index(drop=True)
+
+
+def merge_intervals_loop(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
+    """Row-reduction as a dedupe, then one row-at-a-time sweep per attribute."""
+    if df.empty:
+        return df
+    df = df.drop_duplicates().reset_index(drop=True)
+    for c in cols:
+        df = union_sweep_loop(df, c, [o for o in cols if o != c])
+    return df.reset_index(drop=True)
+
+
+def overlap_join_cross(qdf: pd.DataFrame, cdf: pd.DataFrame, key_cols: tuple[str, ...]) -> pd.DataFrame:
+    """Table rows paired with every query row whose key intervals all
+    overlap theirs, each key interval cut to the intersection.
+
+    Enumerates every (query row, table row) index pair, filtered one key
+    axis at a time: O(|query| x |table|) memory.
+    """
+    qi = np.repeat(np.arange(len(qdf)), len(cdf))
+    ri = np.tile(np.arange(len(cdf)), len(qdf))
+    for k in key_cols:
+        q_lo, q_hi = qdf[rg.lo(k)].to_numpy(), qdf[rg.hi(k)].to_numpy()
+        r_lo, r_hi = cdf[rg.lo(k)].to_numpy(), cdf[rg.hi(k)].to_numpy()
+        keep = (q_lo[qi] <= r_hi[ri]) & (r_lo[ri] <= q_hi[qi])
+        qi, ri = qi[keep], ri[keep]
+    out = cdf.take(ri).reset_index(drop=True)
+    for k in key_cols:
+        out[rg.lo(k)] = np.maximum(out[rg.lo(k)].to_numpy(), qdf[rg.lo(k)].to_numpy()[qi])
+        out[rg.hi(k)] = np.minimum(out[rg.hi(k)].to_numpy(), qdf[rg.hi(k)].to_numpy()[qi])
+    return out
+
+
+def theta_join_cross(
+    qdf: pd.DataFrame, cdf: pd.DataFrame, schema: LineageSchema, *, merge: bool = True
+) -> pd.DataFrame:
+    """One θ-join over the cross product, merged by ``merge_intervals_loop``."""
+    joined = overlap_join_cross(qdf, cdf, schema.key_cols)
+    n_key = len(schema.key_cols)
+    keys = joined[interval_columns(schema)[: 2 * n_key]].to_numpy(np.int64)
+    vals = joined[interval_columns(schema)[2 * n_key :]].to_numpy(np.int64)
+    t = pd.DataFrame(
+        absolute_values(vals, keys[:, 0::2], keys[:, 1::2]), columns=value_columns(schema)
+    )
+    return merge_intervals_loop(t, list(schema.val_cols)) if merge else t

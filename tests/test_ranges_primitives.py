@@ -47,6 +47,17 @@ class TestNextTrue:
         assert rg.next_true_at_or_after(np.zeros(3, dtype=bool)).tolist() == [3, 3, 3]
 
 
+class TestExpand:
+    def test_rows_and_values(self):
+        row, val = rg.expand(np.array([0, 5, 2]), np.array([2, 5, 3]), "x")
+        assert row.tolist() == [0, 0, 0, 1, 2, 2]
+        assert val.tolist() == [0, 1, 2, 5, 2, 3]
+
+    def test_inverted_raises(self):
+        with pytest.raises(ValueError, match="in x"):
+            rg.expand(np.array([3]), np.array([1]), "x")
+
+
 class TestExplodeInterval:
     def test_expands_and_drops_pair(self):
         df = interval_df([(0, 2), (5, 5)])
@@ -65,24 +76,23 @@ class TestExplodeInterval:
 
 
 class TestUnionSweep:
+    """``union_sweep`` on an int64 matrix of (lo, hi) column pairs."""
+
     def test_merges_overlap_and_adjacent(self):
-        df = interval_df([(0, 2), (3, 5), (5, 7), (10, 11)])
-        out = rg.union_sweep(df, "x", [])
-        got = sorted(zip(out[rg.lo("x")], out[rg.hi("x")]))
-        assert got == [(0.0, 7.0), (10.0, 11.0)]
+        m = np.array([(0, 2), (3, 5), (5, 7), (10, 11)], dtype=np.int64)
+        out = rg.union_sweep(m, (0, 1), [])
+        assert sorted(map(tuple, out.tolist())) == [(0, 7), (10, 11)]
 
     def test_contained_interval_absorbed(self):
-        df = interval_df([(0, 10), (2, 3)])
-        out = rg.union_sweep(df, "x", [])
-        assert len(out) == 1
-        assert (out.iloc[0][rg.lo("x")], out.iloc[0][rg.hi("x")]) == (0, 10)
+        m = np.array([(0, 10), (2, 3)], dtype=np.int64)
+        out = rg.union_sweep(m, (0, 1), [])
+        assert out.tolist() == [[0, 10]]
 
     def test_respects_groups(self):
-        df = interval_df([(0, 1), (2, 3), (0, 1)], col="x")
-        df[rg.lo("g")] = [0.0, 0.0, 1.0]
-        df[rg.hi("g")] = [0.0, 0.0, 1.0]
-        out = rg.union_sweep(df, "x", ["g"])
-        assert len(out) == 2  # group 0 merges [0,3]; group 1 stays
+        # Columns: x_lo, x_hi, g_lo, g_hi.
+        m = np.array([(0, 1, 0, 0), (2, 3, 0, 0), (0, 1, 1, 1)], dtype=np.int64)
+        out = rg.union_sweep(m, (0, 1), [(2, 3)])
+        assert out.tolist() == [[0, 3, 0, 0], [0, 1, 1, 1]]  # group 0 merges [0,3]; group 1 stays
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -104,8 +114,14 @@ class TestUnionSweep:
         cols[rg.hi("x")] = [r[4] + r[5] for r in rows]
         df = pd.DataFrame(cols, dtype="int64")
         groups = [f"g{j}" for j in range(n_groups)]
+        pos = {c: i for i, c in enumerate(df.columns)}
+        got = rg.union_sweep(
+            df.to_numpy(),
+            (pos[rg.lo("x")], pos[rg.hi("x")]),
+            [(pos[rg.lo(g)], pos[rg.hi(g)]) for g in groups],
+        )
         pd.testing.assert_frame_equal(
-            rg.union_sweep(df, "x", groups), union_sweep_loop(df, "x", groups)
+            pd.DataFrame(got, columns=df.columns), union_sweep_loop(df, "x", groups)
         )
 
 

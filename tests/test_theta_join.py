@@ -1,18 +1,30 @@
-"""θ-join kernel tests: the paper's §V running example (Tables IV-VI) and
-randomized equivalence against ground-truth joins over uncompressed lineage.
+"""θ-join kernel tests: the paper's §V running example (Tables IV-VI),
+randomized equivalence against ground-truth joins over uncompressed
+lineage and against the cross-product join, defined empty outcomes, and
+bounded memory for scattered queries and wide table rows.
 """
+import tracemalloc
+
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.capture import numpy_ops as nops
 from repro.core import provrc
 from repro.core.model import backward_schema, forward_schema
-from repro.core.ranges import hi, lo
+from repro.core.provrc import interval_columns
+from repro.core.ranges import hi, lo, rep
+from repro.insitu import theta_join as tj
 from repro.insitu.theta_join import (
     chain_query,
     intervals_to_cells,
     theta_join,
 )
+from tests.reference_loops import theta_join_cross
+
+MiB = 1 << 20
 
 
 def sum_axis1_lineage() -> pd.DataFrame:
@@ -160,13 +172,145 @@ class TestRandomEquivalence:
         assert len(got) >= len(true_cells)
 
 
-@pytest.mark.parametrize("cells", [[3, 4, 5, 20], [500, 501]], ids=["hit", "out_of_range"])
-def test_query_intervals_are_int64(cells):
-    """Queries and their results keep the finalized table's int64 layout."""
+@pytest.mark.parametrize("case", ["hit", "out_of_range", "empty_query", "empty_table"])
+def test_query_intervals_are_int64(case):
+    """Queries and their results keep the finalized table's int64 layout;
+    an empty query, an empty table or a query outside the table's keys
+    gives an empty result with the same int64 columns."""
     rel = pd.DataFrame([(b, b, a1) for b in range(30) for a1 in range(4)], columns=["b0", "a0", "a1"])
     schema = backward_schema(1, 2)
     cdf = provrc.compress(rel, schema)
-    q = provrc.encode_query(pd.DataFrame({"b0": cells}), ["b0"])
-    for out in (q, theta_join(q, cdf, schema), chain_query(q, [(cdf, schema)])):
+    cells = {"hit": [3, 4, 5, 20], "out_of_range": [500, 501], "empty_query": []}.get(case, [3, 4])
+    q = provrc.encode_query(pd.DataFrame({"b0": np.array(cells, dtype=np.int64)}), ["b0"])
+    if case == "empty_table":
+        cdf = cdf.iloc[:0]
+    results = [theta_join(q, cdf, schema, merge=m) for m in (True, False)]
+    results.append(chain_query(q, [(cdf, schema)]))
+    for out in (q, *results):
         assert all(str(t) == "int64" for t in out.dtypes), out.dtypes
-    assert theta_join(q, cdf, schema).empty == (cells[0] >= 30)
+    for out in results:
+        assert list(out.columns) == ["a0_lo", "a0_hi", "a1_lo", "a1_hi"]
+        assert out.empty == (case != "hit")
+    got = intervals_to_cells(results[0], ["a0", "a1"])
+    assert list(got.columns) == ["a0", "a1"]
+    assert all(str(t) == "int64" for t in got.dtypes), got.dtypes
+    assert got.empty == (case != "hit")
+
+
+# Key intervals of random tables and queries: narrow ones, and one that
+# spans the whole primary key (the worst case for a width-bounded search).
+key_interval = st.one_of(
+    st.tuples(st.integers(0, 30), st.integers(0, 4)).map(lambda t: (t[0], t[0] + t[1])),
+    st.just((0, 40)),
+)
+
+
+@st.composite
+def join_inputs(draw):
+    """A random finalized table (any rep codes and deltas) and query."""
+    n_key, n_val = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    schema = backward_schema(n_key, n_val)
+    keys = st.lists(key_interval, min_size=n_key, max_size=n_key)
+    vals = st.lists(
+        st.tuples(st.integers(0, n_key), st.integers(-5, 5), st.integers(0, 3)),
+        min_size=n_val,
+        max_size=n_val,
+    )
+    table = {c: [] for c in interval_columns(schema)}
+    for key_ivs, val_ivs in draw(st.lists(st.tuples(keys, vals), max_size=25)):
+        for k, (k_lo, k_hi) in zip(schema.key_cols, key_ivs):
+            table[lo(k)].append(k_lo)
+            table[hi(k)].append(k_hi)
+        for v, (code, d, w) in zip(schema.val_cols, val_ivs):
+            table[rep(v)].append(code)
+            table[lo(v)].append(d)
+            table[hi(v)].append(d + w)
+    query = {c: [] for k in schema.key_cols for c in (lo(k), hi(k))}
+    for key_ivs in draw(st.lists(keys, max_size=12)):
+        for k, (k_lo, k_hi) in zip(schema.key_cols, key_ivs):
+            query[lo(k)].append(k_lo)
+            query[hi(k)].append(k_hi)
+    return pd.DataFrame(query, dtype="int64"), pd.DataFrame(table, dtype="int64"), schema
+
+
+@settings(max_examples=120, deadline=None)
+@given(join_inputs(), st.sampled_from([1, 5]))
+def test_matches_cross_product_reference(case, budget):
+    """The sort-based range join returns the cross-product join's frame
+    (rows, order, dtypes), merged or not, for the default pair budget and
+    for budgets that split the query into many chunks, and for an empty
+    query or an empty table."""
+    qdf, cdf, schema = case
+    default = tj.PAIR_BUDGET
+    try:
+        for tj.PAIR_BUDGET in (default, budget):
+            for q, c in ((qdf, cdf), (qdf.iloc[:0], cdf), (qdf, cdf.iloc[:0])):
+                for merge in (True, False):
+                    pd.testing.assert_frame_equal(
+                        theta_join(q, c, schema, merge=merge),
+                        theta_join_cross(q, c, schema, merge=merge),
+                    )
+    finally:
+        tj.PAIR_BUDGET = default
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_row_does_not_bring_back_the_cross_product():
+    """One row spanning the whole primary key makes every narrow row a
+    candidate of every query row (2,000 x 20,000 pairs, ~640 MB as two
+    index arrays); the chunked join stays within a fixed budget."""
+    n = 20_000
+    schema = backward_schema(1, 1)
+    cdf = pd.DataFrame(
+        {
+            "b0_lo": np.r_[0, np.arange(n)],
+            "b0_hi": np.r_[n - 1, np.arange(n)],
+            "a0_rep": np.r_[0, np.ones(n, dtype=np.int64)],
+            "a0_lo": np.r_[-1, np.zeros(n, dtype=np.int64)],
+            "a0_hi": np.r_[-1, np.zeros(n, dtype=np.int64)],
+        }
+    )
+    at = np.sort(np.random.default_rng(0).choice(n, 2_000, replace=False))
+    q = pd.DataFrame({"b0_lo": at, "b0_hi": at})
+    out, peak = _traced_peak(lambda: theta_join(q, cdf, schema, merge=False))
+    # Each query row meets the wide row (a0 = -1) and its own cell (a0 = b0).
+    want = np.column_stack([np.full(len(at), -1), at]).ravel()
+    assert (out["a0_lo"].to_numpy() == want).all() and (out["a0_hi"].to_numpy() == want).all()
+    assert peak < 32 * MiB, f"traced peak {peak / MiB:.1f} MiB"
+
+
+def test_scattered_sort_query_is_exact_within_memory_budget():
+    """2,000 scattered cells against the Sort 160² backward lineage
+    (~25k compressed rows, ~50M pairs as a cross product): the answer
+    equals a DuckDB join over the raw relation, in bounded memory."""
+    side = 160
+    rel = nops.OPS["sort"].capture(((side, side),), np.random.default_rng(0)).relation(0)
+    schema = backward_schema(2, 2)
+    cdf = provrc.compress(rel, schema)
+    flat = np.random.default_rng(1).choice(side * side, 2_000, replace=False)
+    cells = pd.DataFrame({"b0": flat // side, "b1": flat % side})
+
+    def query():
+        q = provrc.encode_query(cells, ["b0", "b1"])
+        return intervals_to_cells(chain_query(q, [(cdf, schema)]), ["a0", "a1"])
+
+    got, peak = _traced_peak(query)
+    con = duckdb.connect()
+    try:
+        con.register("rel", rel)
+        con.register("cells", cells)
+        want = con.execute(
+            "SELECT DISTINCT a0, a1 FROM rel JOIN cells USING (b0, b1) ORDER BY a0, a1"
+        ).df()
+    finally:
+        con.close()
+    pd.testing.assert_frame_equal(got, want.astype("int64"))
+    assert peak < 64 * MiB, f"traced peak {peak / MiB:.1f} MiB"
