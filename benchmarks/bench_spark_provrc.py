@@ -1,8 +1,9 @@
 """Spark-parallel ProvRC benchmark: compression of a 360k-row aggregate
-lineage relation through the per-partition applyInPandas path, plus the
-Spark in-situ query path end to end, next to the pandas kernel on the
-same compressed table. Demonstrates the paper's "highly parallelizable"
-claim for compression on the shuffle path (broadcast disabled)."""
+lineage relation (``provrc.chunk`` per primary-key range, one range
+exchange, ``provrc.stitch`` on the driver) and the Spark in-situ query
+path end to end, each next to the pandas kernel on the same relation or
+table. Measures the paper's "highly parallelizable" claim against the
+single-process kernel."""
 import pandas as pd
 
 from repro.capture import patterns as pt
@@ -23,6 +24,15 @@ def test_spark_compress_aggregate(benchmark, spark):
 
     n = benchmark.pedantic(run, rounds=1, iterations=1)
     assert n == 1  # full aggregate pattern collapses to a single row
+
+
+def test_kernel_compress_aggregate(benchmark):
+    """The same relation as above, through the pandas kernel."""
+    rel = pt.reduce_axis((600, 600), 1)
+    schema = backward_schema(1, 2)
+
+    cdf = benchmark.pedantic(lambda: provrc.compress(rel, schema), rounds=1, iterations=1)
+    assert len(cdf) == 1
 
 
 def test_spark_insitu_query_end_to_end(benchmark, spark):

@@ -316,10 +316,6 @@ for _name in ["cumsum", "cumprod", "nancumsum", "nancumprod"]:
     )
 
 # Shape / layout operations.
-def _shape_of(shapes):
-    return shapes[0]
-
-
 _register(OpSpec(
     name="transpose", category="complex", value_dependent=False,
     capture=_map_capture(lambda s: s[0][::-1], lambda o, s, i: [o[1], o[0]]),

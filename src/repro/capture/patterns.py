@@ -149,14 +149,3 @@ def matmul(n: int, k: int, m: int) -> tuple[pd.DataFrame, pd.DataFrame]:
     rel_a = _frame([rep_i, rep_j], [rep_i, inner])
     rel_b = _frame([rep_i, rep_j], [inner, rep_j])
     return rel_a, rel_b
-
-
-def all_to_all(out_shape: tuple[int, ...], in_shape: tuple[int, ...]) -> pd.DataFrame:
-    """Every output cell <- every input cell (vdot-style)."""
-    o = out_indices(out_shape)
-    grids = np.indices(in_shape)
-    i = [g.ravel() for g in grids]
-    n_o, n_i = o[0].size, i[0].size
-    rep_o = [np.repeat(x, n_i) for x in o]
-    rep_i = [np.tile(x, n_o) for x in i]
-    return _frame(rep_o, rep_i)

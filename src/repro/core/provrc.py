@@ -127,8 +127,8 @@ def _encode_key_pass(
     group only with strictly fewer rows). Once every group is down to one
     row no ordering can improve on it, and the remaining ones are not
     tried. Every scan is independently lossless, and per-group selection
-    makes the result identical whether the pass runs globally (pandas
-    kernel) or per bucket (Spark).
+    makes the result's rows the same whether the pass runs over the whole
+    relation or over pieces that each hold whole groups (``chunk``).
     """
     if df.empty:
         return df
@@ -271,6 +271,41 @@ def _encode_values(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     return work
 
 
+def chunk(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
+    """Every pass of ``compress`` that stays within one primary-key value.
+
+    Drops duplicate rows, runs step 1 and the relative value
+    transformation, then every key pass except the primary key's
+    (``schema.key_cols[0]``), and returns the candidate form ``stitch``
+    consumes. The primary key is still scalar throughout, and every merge
+    here groups on it, so running ``chunk`` on pieces of the relation that
+    each hold all rows of their primary-key values (ranges of it, say) and
+    concatenating the results gives the same rows as running it on the
+    whole relation.
+    """
+    work = _encode_values(df.drop_duplicates(subset=list(schema.full_cols)), schema)
+    for j in range(len(schema.key_cols) - 1, 0, -1):
+        work = _key_pass(work, j, schema)
+    return work
+
+
+def stitch(work: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
+    """The primary-key pass over ``chunk`` output, then ``finalize``.
+
+    The only pass that merges across primary-key values, so it runs once
+    over all chunks. Its scans sort their input, so the result does not
+    depend on the order in which the chunks are concatenated.
+    """
+    return finalize(_key_pass(work, 0, schema), schema)
+
+
+def _key_pass(work: pd.DataFrame, j: int, schema: LineageSchema) -> pd.DataFrame:
+    """The step-2 pass over key attribute ``j``."""
+    target = schema.key_cols[j]
+    others = [c for c in schema.key_cols if c != target]
+    return _encode_key_pass(work, target, others, schema.val_cols, schema.key_cols)
+
+
 def compress(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     """Run the full ProvRC algorithm on an uncompressed lineage relation.
 
@@ -278,14 +313,10 @@ def compress(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     duplicate rows are dropped first (set semantics). Returns the
     finalized compressed table (``interval_columns(schema)``), in which
     each value attribute keeps exactly one representation, matching the
-    paper's tables.
+    paper's tables. ``stitch(chunk(df))``: Spark runs the same two halves,
+    ``chunk`` per primary-key range and ``stitch`` once.
     """
-    work = _encode_values(df.drop_duplicates(subset=list(schema.full_cols)), schema)
-    for j in range(len(schema.key_cols) - 1, -1, -1):
-        target = schema.key_cols[j]
-        others = [c for c in schema.key_cols if c != target]
-        work = _encode_key_pass(work, target, others, schema.val_cols, schema.key_cols)
-    return finalize(work, schema)
+    return stitch(chunk(df, schema), schema)
 
 
 def finalize(cdf: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:

@@ -153,17 +153,15 @@ def chain_query(
 def as_next_query(
     result: pd.DataFrame, prev: LineageSchema, schema: LineageSchema
 ) -> pd.DataFrame:
-    """Rename a step's result (over ``prev.val_cols``) positionally to the
+    """Relabel a step's result (``value_columns(prev)``, in that order, as
+    ``theta_join`` and ``merge_intervals`` return it) positionally as the
     key attributes of the next table, ``schema.key_cols``."""
     if len(prev.val_cols) != len(schema.key_cols):
         raise ValueError(
             f"path axis count mismatch ({len(prev.val_cols)} vs {len(schema.key_cols)})"
         )
-    renames = {}
-    for pv, k in zip(prev.val_cols, schema.key_cols):
-        renames[rg.lo(pv)] = rg.lo(k)
-        renames[rg.hi(pv)] = rg.hi(k)
-    return result.rename(columns=renames)
+    keys = [c for k in schema.key_cols for c in (rg.lo(k), rg.hi(k))]
+    return result.set_axis(keys, axis=1)
 
 
 def intervals_to_cells(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:

@@ -8,8 +8,11 @@
   correlated-delta patterns, where exactness is not promised — DESIGN.md);
 - the vectorized step-2 key pass returns the same frame as the
   row-at-a-time reference in ``tests/reference_loops.py``, per ordering
-  and for the whole pass.
+  and for the whole pass;
+- ``compress`` is separable on primary-key ranges: ``chunk`` per range,
+  concatenated, then ``stitch`` equals ``compress`` row for row.
 """
+import numpy as np
 import pandas as pd
 from hypothesis import given, settings, strategies as st
 
@@ -119,6 +122,25 @@ def test_scan_matches_loop_reference(rel, forward):
         want = encode_key_pass_all_orderings(work, target, others, *args)
         pd.testing.assert_frame_equal(got, want, check_exact=True)
         work = got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(relation_1x1, relation_1x2, relation_2x1, relation_2x2),
+    st.booleans(),
+    st.sets(st.integers(0, 12), max_size=3),
+    st.booleans(),
+)
+def test_chunks_on_primary_key_ranges_stitch_to_compress(rel, forward, cuts, backwards):
+    """Cut at ``cuts`` into up to 4 non-empty primary-key ranges; the
+    stitched chunks equal ``compress`` whatever order they come in."""
+    schema = _schema_of(rel, forward)
+    bins = np.searchsorted(sorted(cuts), rel[schema.key_cols[0]].to_numpy())
+    parts = [provrc.chunk(rel[bins == b], schema) for b in np.unique(bins)]
+    if backwards:
+        parts.reverse()
+    got = provrc.stitch(pd.concat(parts, ignore_index=True), schema)
+    pd.testing.assert_frame_equal(got, provrc.compress(rel, schema), check_exact=True)
 
 
 @settings(max_examples=40, deadline=None)
