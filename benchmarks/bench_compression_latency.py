@@ -16,7 +16,7 @@ from repro.baselines.turborc import write_turborc
 from repro.capture import numpy_ops as nops
 from repro.capture import patterns as pt
 from repro.core import provrc, storage
-from repro.core.model import backward_schema
+from repro.core.model import backward_schema_of
 
 _SIZES = {"10k": 100, "90k": 300, "360k": 600}
 _WORST_SIDE = 316  # ~100k rows
@@ -37,15 +37,10 @@ def _rel(kind: str, n: int) -> pd.DataFrame:
     return pd.DataFrame({"b0": np.arange(n * n), "a0": g.permutation(n * n)})
 
 
-def _schema(rel: pd.DataFrame):
-    n_out = sum(c.startswith("b") for c in rel.columns)
-    return backward_schema(n_out, len(rel.columns) - n_out)
-
-
 @pytest.mark.parametrize("kind,size,n", _CASES, ids=[f"{k}-{s}" for k, s, _ in _CASES])
 def test_provrc_gzip_compression_latency(benchmark, tmp_path, kind, size, n):
     rel = _rel(kind, n)
-    schema = _schema(rel)
+    schema = backward_schema_of(rel.columns)
 
     def run():
         cdf = provrc.compress(rel, schema)

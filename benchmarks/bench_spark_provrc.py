@@ -1,9 +1,9 @@
 """Spark-parallel ProvRC benchmark: compression of a 360k-row aggregate
-lineage relation (``provrc.chunk`` per primary-key range, one range
-exchange, ``provrc.stitch`` on the driver) and the Spark in-situ query
-path end to end, each next to the pandas kernel on the same relation or
-table. Measures the paper's "highly parallelizable" claim against the
-single-process kernel."""
+lineage relation (``provrc.chunk`` per hash partition of the primary
+key, one hash exchange, ``provrc.stitch`` on the driver) and the Spark
+in-situ query path end to end, each next to the pandas kernel on the
+same relation or table. Measures the paper's "highly parallelizable"
+claim against the single-process kernel."""
 import pandas as pd
 
 from repro.capture import patterns as pt

@@ -11,7 +11,8 @@ Modules:
   encoding. Exact per-paper semantics; unit-tested against the paper's
   worked examples (Tables I-VI).
 - ``spark_provrc``: Spark-parallel compression built on the kernel
-  (``provrc.chunk`` per primary-key range, ``provrc.stitch`` once).
+  (``provrc.chunk`` per hash partition of the primary key,
+  ``provrc.stitch`` once).
 - ``storage``: the on-disk binary format for compressed tables and its
   GZip variant (ProvRC / ProvRC-GZip in Table VII).
 """

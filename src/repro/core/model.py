@@ -20,6 +20,7 @@ output"); forward tables use key=A, value=B. Both are produced by the same
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -66,6 +67,15 @@ def backward_schema(n_out: int, n_in: int) -> LineageSchema:
         key_cols=tuple(out_axis(j) for j in range(n_out)),
         val_cols=tuple(in_axis(i) for i in range(n_in)),
         direction="backward",
+    )
+
+
+def backward_schema_of(columns: Iterable[str]) -> LineageSchema:
+    """Backward schema of a lineage relation with these column names: one
+    key per output column (``b*``), one value per input column (``a*``)."""
+    cols = list(columns)
+    return backward_schema(
+        sum(c.startswith("b") for c in cols), sum(c.startswith("a") for c in cols)
     )
 
 

@@ -1,9 +1,11 @@
 """The ProvRC lineage-compression kernel (paper §IV), in pandas/numpy.
 
 The kernel is generic over attribute *roles* (see ``model``): step 1
-range-encodes the value attributes, step 2 applies the relative value
-transformation (``delta = value - key``) and range-encodes the key
-attributes with the paper's "exists a constant representation" rule.
+range-encodes the value attributes (``ranges.union_sweep``, the same
+range encoding the query encoding and the θ-join's merge use), step 2
+applies the relative value transformation (``delta = value - key``) and
+range-encodes the key attributes with the paper's "exists a constant
+representation" rule.
 Running it with key=B/value=A yields the backward table, with key=A/value=B
 the forward table (§IV.C), from a single implementation.
 
@@ -30,7 +32,8 @@ Losslessness: a compressed row denotes the tuple set obtained by expanding
 key ranges (Cartesian) and then each value attribute either from its
 absolute range (Cartesian) or as ``key + delta`` per expanded key value.
 Every merge performed here preserves that expansion exactly;
-``decompress`` implements it and the round trip is property-tested.
+``decompress`` implements it with ``ranges.cartesian`` (the expansion
+``intervals_to_cells`` uses) and the round trip is property-tested.
 """
 from __future__ import annotations
 
@@ -39,48 +42,6 @@ import pandas as pd
 
 from repro.core import ranges as rg
 from repro.core.model import LineageSchema
-
-
-def to_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
-    """Scalar integer columns -> degenerate ``[v, v]`` interval columns."""
-    out = {}
-    for c in cols:
-        v = df[c].to_numpy(dtype="float64")
-        out[rg.lo(c)] = v
-        out[rg.hi(c)] = v
-    return pd.DataFrame(out)
-
-
-def _encode_value_pass(df: pd.DataFrame, target: str, other_cols: list[str]) -> pd.DataFrame:
-    """One multi-attribute range-encoding pass (paper §IV.A step 1).
-
-    Merges maximal runs of consecutive ``target`` values whose *every*
-    other attribute matches exactly. Vectorized gaps-and-islands: each
-    run keeps its first row, with the ``hi`` of its last row gathered by
-    index; no Python row loop.
-    """
-    if df.empty:
-        return df
-    sort_cols = []
-    for c in other_cols:
-        sort_cols += [rg.lo(c), rg.hi(c)]
-    sort_cols.append(rg.lo(target))
-    df = rg.sort_rows(df, sort_cols)
-    t_lo = df[rg.lo(target)].to_numpy()
-    t_hi = df[rg.hi(target)].to_numpy()
-    new_run = rg.group_changed(df, other_cols)
-    new_run[1:] |= t_lo[1:] != t_hi[:-1] + 1
-    starts = np.flatnonzero(new_run)
-    out = rg.take_rows(df, starts)
-    out[rg.hi(target)] = t_hi[np.append(starts[1:], len(df)) - 1]
-    return out
-
-
-def _range_encode(work: pd.DataFrame, targets: list[str], cols: list[str]) -> pd.DataFrame:
-    """Step-1 passes: one ``_encode_value_pass`` per target, last first."""
-    for target in reversed(targets):
-        work = _encode_value_pass(work, target, [c for c in cols if c != target])
-    return work
 
 
 def _candidates(val: str, key_cols: tuple[str, ...]) -> list[str]:
@@ -257,18 +218,28 @@ def value_columns(schema: LineageSchema) -> list[str]:
 def _encode_values(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     """Step 1 (value range encoding) plus the relative value transformation.
 
-    Returns the candidate form the step-2 key passes consume: every
-    attribute as an interval, and every ``value - key`` delta. Keys are
-    still scalar here, so a delta is ``[v_lo - k, v_hi - k]``.
+    Step 1 is one ``ranges.union_sweep`` over the value attributes, last
+    first, grouped on the still-scalar keys. Returns the candidate form the
+    step-2 key passes consume: every attribute as an interval, then every
+    ``value - key`` delta, as float64 because those passes mark absent
+    representations with NaN. Keys are still scalar here, so a delta is
+    ``[v_lo - k, v_hi - k]``.
     """
     cols = list(schema.key_cols) + list(schema.val_cols)
-    work = _range_encode(to_intervals(df, cols), list(schema.val_cols), cols)
-    for v in schema.val_cols:
-        for k in schema.key_cols:
-            d = rg.delta(v, k)
-            work[rg.lo(d)] = work[rg.lo(v)] - work[rg.lo(k)]
-            work[rg.hi(d)] = work[rg.hi(v)] - work[rg.lo(k)]
-    return work
+    n_key = schema.n_key
+    m = np.repeat(np.column_stack([df[c].to_numpy(np.int64) for c in cols]), 2, axis=1)
+    m = rg.union_sweep(m, list(range(len(cols) - 1, n_key - 1, -1)))
+    deltas = [
+        m[:, 2 * (n_key + i) : 2 * (n_key + i) + 2] - m[:, [2 * j]]
+        for i in range(schema.n_val)
+        for j in range(n_key)
+    ]
+    attrs = cols + [rg.delta(v, k) for v in schema.val_cols for k in schema.key_cols]
+    # Column-major, so that every column step 2 sorts on is contiguous.
+    return pd.DataFrame(
+        np.hstack([m, *deltas]).astype(np.float64, order="F"),
+        columns=[c for a in attrs for c in (rg.lo(a), rg.hi(a))],
+    )
 
 
 def chunk(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
@@ -279,7 +250,8 @@ def chunk(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     (``schema.key_cols[0]``), and returns the candidate form ``stitch``
     consumes. The primary key is still scalar throughout, and every merge
     here groups on it, so running ``chunk`` on pieces of the relation that
-    each hold all rows of their primary-key values (ranges of it, say) and
+    each hold all rows of their primary-key values (hash partitions of it,
+    say) and
     concatenating the results gives the same rows as running it on the
     whole relation.
     """
@@ -314,7 +286,7 @@ def compress(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     finalized compressed table (``interval_columns(schema)``), in which
     each value attribute keeps exactly one representation, matching the
     paper's tables. ``stitch(chunk(df))``: Spark runs the same two halves,
-    ``chunk`` per primary-key range and ``stitch`` once.
+    ``chunk`` per hash partition of the primary key and ``stitch`` once.
     """
     return stitch(chunk(df, schema), schema)
 
@@ -375,22 +347,14 @@ def decompress(cdf: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     range or as ``key + delta`` per expanded key value. Output columns are
     ``schema.full_cols`` as int64, deduplicated and sorted.
     """
-    work = cdf.reset_index(drop=True)
-    for k in schema.key_cols:
-        work = rg.explode_interval(work, k, f"__{k}")
-    keys = work[[f"__{k}" for k in schema.key_cols]]
-    key_m = keys.to_numpy(np.int64)
-    val_layout = interval_columns(schema)[2 * len(schema.key_cols) :]
-    vals = absolute_values(work[val_layout].to_numpy(np.int64), key_m, key_m)
-    work = pd.concat([keys, pd.DataFrame(vals, columns=value_columns(schema))], axis=1)
-    for v in schema.val_cols:
-        work = rg.explode_interval(work, v, f"__{v}")
-    out = pd.DataFrame({c: work[f"__{c}"].astype("int64") for c in schema.full_cols})
-    return (
-        out.drop_duplicates()
-        .sort_values(list(schema.full_cols), kind="mergesort")
-        .reset_index(drop=True)
-    )
+    m = cdf[interval_columns(schema)].to_numpy(np.int64)
+    k = 2 * schema.n_key
+    row, keys = rg.cartesian(m[:, 0:k:2], m[:, 1:k:2], schema.key_cols)
+    vals = absolute_values(m[row, k:], keys, keys)
+    row, cells = rg.cartesian(vals[:, 0::2], vals[:, 1::2], schema.val_cols)
+    out = pd.DataFrame(np.hstack([keys[row], cells]), columns=schema.key_cols + schema.val_cols)
+    full = list(schema.full_cols)
+    return rg.sort_rows(out[full].drop_duplicates(), full)
 
 
 def encode_query(cells: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
@@ -398,7 +362,9 @@ def encode_query(cells: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
 
     ``cells`` has one scalar integer column per queried axis. The result
     is an int64 interval table over the same columns, produced with the
-    same multi-attribute range encoding as ProvRC step 1 — the paper's Q'.
+    same multi-attribute range encoding as ProvRC step 1 (one
+    ``ranges.union_sweep`` over every column, last first) — the paper's Q'.
     """
-    work = to_intervals(cells.drop_duplicates(), cols)
-    return _range_encode(work, cols, cols).reset_index(drop=True).astype("int64")
+    m = np.repeat(np.column_stack([cells[c].to_numpy(np.int64) for c in cols]), 2, axis=1)
+    m = rg.union_sweep(m, list(range(len(cols)))[::-1])
+    return pd.DataFrame(m, columns=[c for a in cols for c in (rg.lo(a), rg.hi(a))])

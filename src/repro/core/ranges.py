@@ -8,12 +8,17 @@ inside ProvRC's step-2 key passes are float64 with NaN = absent; float64
 represents integers exactly up to 2**53, far beyond any array index here.
 
 The primitives are whole-column numpy: ``sort_rows`` (a stable
-``np.lexsort``, NaN last), change masks, next-change indices, interval
-expansion (``expand``) and the group-wise union sweep, which works on
-one int64 matrix rather than a frame. None of them loops over rows in
-Python.
+``np.lexsort``, NaN last), change masks, next-change indices, and the
+two pieces of interval algebra, each on int64 matrices rather than
+frames and each with a single implementation: ``union_sweep``, the
+multi-attribute range encoding (ProvRC step 1, the query encoding Q' and
+the θ-join's merge), and ``cartesian``, the expansion of interval rows
+into cells (``decompress`` and ``intervals_to_cells``), built on the
+per-attribute ``expand``. None of them loops over rows in Python.
 """
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 import pandas as pd
@@ -118,60 +123,79 @@ def expand(lo_v: np.ndarray, hi_v: np.ndarray, name: str) -> tuple[np.ndarray, n
     return row, lo_v[row] + (np.arange(len(row)) - (np.cumsum(counts) - counts)[row])
 
 
-def explode_interval(df: pd.DataFrame, col: str, out_col: str) -> pd.DataFrame:
-    """Expand interval attribute ``col`` into one row per integer value.
+def cartesian(
+    lo_m: np.ndarray, hi_m: np.ndarray, names: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell of every row's Cartesian product of intervals.
 
-    One ``expand``; the expanded scalar lands in ``out_col`` and the
-    lo/hi pair is dropped.
+    ``lo_m``/``hi_m`` are int64 matrices with one row per interval row and
+    one column per attribute (named by ``names`` for errors). Returns
+    ``(row, cells)``: each cell's source row, and the cells as a matrix
+    with one column per attribute, rows in order and cells ascending
+    within a row. One ``expand`` per attribute.
     """
-    if df.empty:
-        out = df.drop(columns=[lo(col), hi(col)]).copy()
-        out[out_col] = pd.Series(dtype="float64")
-        return out
-    row, val = expand(df[lo(col)].to_numpy(), df[hi(col)].to_numpy(), col)
-    rep = df.iloc[row].reset_index(drop=True)
-    rep[out_col] = val
-    return rep.drop(columns=[lo(col), hi(col)])
+    row = np.arange(len(lo_m))
+    cells = np.empty((len(lo_m), 0), dtype=np.int64)
+    for j, name in enumerate(names):
+        src, val = expand(lo_m[row, j], hi_m[row, j], name)
+        cells = np.column_stack([cells[src], val])
+        row = row[src]
+    return row, cells
 
 
-def union_sweep(m: np.ndarray, col: tuple[int, int], groups: list[tuple[int, int]]) -> np.ndarray:
-    """Merge overlapping or adjacent intervals of one attribute per group.
+def union_sweep(m: np.ndarray, order: list[int]) -> np.ndarray:
+    """Multi-attribute range encoding: merge overlapping or adjacent
+    intervals of one attribute at a time, per group of the others.
 
-    ``m`` is an int64 matrix holding interval attributes as (lo, hi)
-    column pairs. ``col`` is the pair whose intervals are unioned;
-    ``groups`` are the pairs that must match exactly for two rows to
-    merge. Used by the θ-join's row-reduction ("merge") optimization,
-    which unions intervals (subsuming the paper's adjacent-interval
-    merge) to minimize rows fed to the next join. Intervals must be valid
-    (``lo <= hi``).
+    ``m`` is an int64 matrix of interval attributes, attribute ``p`` in
+    columns ``(2p, 2p + 1)`` as ``(lo, hi)``. The attributes in ``order``
+    are swept in that order; each sweep unions the attribute's intervals
+    over the rows that match exactly on every other column. This is
+    ProvRC's step 1 (values swept last first, keys only grouped on), the
+    query encoding Q' (every attribute, last first) and the θ-join's
+    row-reduction merge (every attribute, first to last). On scalar input
+    it merges runs of consecutive integers, as the paper's range encoding
+    does; on overlapping intervals it takes their union. Intervals must be
+    valid (``lo <= hi``).
 
-    Rows come back sorted by every group ``lo``, then every group ``hi``,
-    then ``col``'s ``lo`` and ``hi`` (one stable ``np.lexsort``); each is
-    the first row of its run, with ``hi`` the run's maximum. Identical
-    rows always fall into one run, so when the pairs cover every column
-    the sweep also drops duplicate rows.
+    Each sweep sorts the rows by every other attribute's ``lo``, then
+    their ``hi``, then the swept ``lo`` and ``hi`` (one stable
+    ``np.lexsort``) and keeps the first row of each run, with ``hi`` the
+    run's maximum. Identical rows always fall into one run, so the first
+    sweep also drops duplicate rows.
     """
     if len(m) == 0:
         return m
-    lo_c, hi_c = col
-    keys = [g[0] for g in groups] + [g[1] for g in groups] + [lo_c, hi_c]
-    m = m[np.lexsort(m[:, keys[::-1]].T)]
-    run_start = np.ones(len(m), dtype=bool)
-    group_cols = [c for g in groups for c in g]
-    run_start[1:] = (m[1:, group_cols] != m[:-1, group_cols]).any(axis=1)
-    lo_v = m[:, lo_c]
-    hi_v = m[:, hi_c]
-    # An interval starts a new run iff its group changed or its lo exceeds
-    # (running max of hi over the group's earlier rows) + 1. The running
-    # max never crosses a group: each group's hi is lifted above every
-    # earlier group's by its group id times the value range.
-    gid = np.cumsum(run_start) - 1
-    base = hi_v.min()
-    width = hi_v.max() - base + 1
-    lifted = gid * width + (hi_v - base)
-    run_max = np.maximum.accumulate(lifted) - gid * width + base
-    run_start[1:] |= lo_v[1:] > run_max[:-1] + 1
-    starts = np.flatnonzero(run_start)
-    out = m[starts]
-    out[:, hi_c] = np.maximum.reduceat(hi_v, starts)
-    return out
+    n_attr = m.shape[1] // 2
+    # A pair with hi == lo on every row (a scalar column, as in step 1 and
+    # Q') orders and groups rows exactly as its lo does, so its hi is left
+    # out of the sort keys and of the group compare.
+    wide = (m[:, 0::2] != m[:, 1::2]).any(axis=0)
+    for p in order:
+        lo_c, hi_c = 2 * p, 2 * p + 1
+        others = [g for g in range(n_attr) if g != p]
+        group_cols = [2 * g for g in others] + [2 * g + 1 for g in others if wide[g]]
+        keys = group_cols + ([lo_c, hi_c] if wide[p] else [lo_c])
+        m = m[np.lexsort([m[:, c] for c in reversed(keys)])]
+        run_start = np.zeros(len(m), dtype=bool)
+        run_start[0] = True
+        for c in group_cols:
+            run_start[1:] |= m[1:, c] != m[:-1, c]
+        lo_v = m[:, lo_c]
+        hi_v = m[:, hi_c]
+        # An interval starts a new run iff its group changed or its lo
+        # exceeds (running max of hi over the group's earlier rows) + 1.
+        # The running max never crosses a group: each group's hi is lifted
+        # above every earlier group's by its group id times the value range.
+        gid = np.cumsum(run_start) - 1
+        base = hi_v.min()
+        width = hi_v.max() - base + 1
+        lifted = gid * width + (hi_v - base)
+        run_max = np.maximum.accumulate(lifted) - gid * width + base
+        run_start[1:] |= lo_v[1:] > run_max[:-1] + 1
+        starts = np.flatnonzero(run_start)
+        out = m[starts]
+        out[:, hi_c] = np.maximum.reduceat(hi_v, starts)
+        m = out
+        wide[p] = True
+    return m

@@ -3,18 +3,19 @@ parallelizable, so we expect significant performance gains from a
 multi-threaded implementation").
 
 Spark executes the kernel's two halves, ``provrc.chunk`` and
-``provrc.stitch``; it does not re-express them. The relation is split
-into ranges of the primary key (``schema.key_cols[0]``) with one
-``repartitionByRange``, ``chunk`` runs once per whole partition in
+``provrc.stitch``; it does not re-express them. The relation is
+hash-partitioned on the primary key (``schema.key_cols[0]``) with one
+``repartition``, ``chunk`` runs once per whole partition in
 ``mapInPandas``, and ``stitch`` runs once on the driver over the
 collected candidate rows.
 
 The split is exact, not an approximation: every merge that ``chunk``
 performs (duplicate removal, step 1, and every key pass but the primary
 key's) happens within a single primary-key value, because that key is
-still scalar until its own pass runs, and range partitioning keeps equal
-keys in one partition. Only the primary-key pass merges across ranges,
-and ``stitch`` runs it once over all of them. So after one exchange the
+still scalar until its own pass runs, and hash partitioning keeps equal
+keys in one partition. Partitions need not hold contiguous key ranges:
+only the primary-key pass merges across key values, and ``stitch`` runs
+it once over all of them and sorts its input. So after one exchange the
 result equals ``provrc.compress`` row for row, in the same order.
 
 Candidate rows travel in the kernel's private candidate form (doubles,
@@ -67,8 +68,8 @@ def compress_spark(
     df: DataFrame, schema: LineageSchema, *, n_buckets: int = 64
 ) -> DataFrame:
     """Compress a full lineage relation (integer columns per axis) with
-    ProvRC: ``provrc.chunk`` per primary-key range in the executors (at
-    most ``n_buckets`` ranges), ``provrc.stitch`` on the driver.
+    ProvRC: ``provrc.chunk`` per hash partition of the primary key in the
+    executors (``n_buckets`` partitions), ``provrc.stitch`` on the driver.
 
     Returns ``interval_columns(schema)`` as non-nullable longs, the same
     rows in the same order as ``provrc.compress``.
@@ -77,7 +78,7 @@ def compress_spark(
         [StructField(c, DoubleType()) for c in _candidate_columns(schema)]
     )
     work = (
-        df.repartitionByRange(n_buckets, schema.key_cols[0])
+        df.repartition(n_buckets, schema.key_cols[0])
         .mapInPandas(partial(_chunk, schema), cand)
         .toPandas()
     )

@@ -115,18 +115,9 @@ class DSLog:
             else:
                 raise KeyError(f"no lineage between {src} and {dst}")
             tables.append((cdf, schema))
-        n_axes = len(self._arrays[path[0]])
-        cols = [f"c{i}" for i in range(n_axes)]
-        q_cells = query_cells.copy()
-        q_cells.columns = cols
-        q = provrc.encode_query(
-            q_cells.rename(
-                columns=dict(zip(cols, [tables[0][1].key_cols[i] for i in range(n_axes)]))
-            ),
-            list(tables[0][1].key_cols),
-        )
+        key_cols = list(tables[0][1].key_cols)
+        q = provrc.encode_query(query_cells.set_axis(key_cols, axis=1), key_cols)
         result = chain_query(q, tables)
         out_cols = list(tables[-1][1].val_cols)
         cells = intervals_to_cells(result, out_cols)
-        cells.columns = [f"c{i}" for i in range(len(out_cols))]
-        return cells
+        return cells.set_axis([f"c{i}" for i in range(len(out_cols))], axis=1)

@@ -81,13 +81,8 @@ def run_one(system: str, prep: dict, q_cells: pd.DataFrame, shape) -> tuple[floa
     t0 = time.perf_counter()
     if system in ("DSLog", "DSLog-NoMerge"):
         tables = [storage.read(p) for p in paths["DSLog"]]
-        first_schema = tables[0][1]
-        q = provrc.encode_query(
-            q_cells.rename(
-                columns=dict(zip(["a0", "a1"], first_schema.key_cols))
-            ),
-            list(first_schema.key_cols),
-        )
+        key_cols = list(tables[0][1].key_cols)
+        q = provrc.encode_query(q_cells.set_axis(key_cols, axis=1), key_cols)
         result = chain_query(
             q, [(c, s) for c, s in tables], merge=system == "DSLog"
         )

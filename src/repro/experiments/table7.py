@@ -19,7 +19,7 @@ from repro.baselines.turborc import write_turborc
 from repro.capture import patterns as pt
 from repro.capture.explain import drise_capture, lime_capture
 from repro.core import provrc, storage
-from repro.core.model import backward_schema
+from repro.core.model import backward_schema_of
 
 FORMATS = [
     "Raw", "Array", "Parquet", "Parquet-GZip", "Turbo-RC", "ProvRC", "ProvRC-GZip",
@@ -137,9 +137,7 @@ def measure_op(op: str, relations: list[pd.DataFrame], out_dir: Path) -> dict[st
         sizes["Parquet"] += write_parquet(rel, f"{stem}.parquet", codec="snappy")
         sizes["Parquet-GZip"] += write_parquet(rel, f"{stem}.gz.parquet", codec="gzip")
         sizes["Turbo-RC"] += write_turborc(rel, f"{stem}.trc")
-        n_out = sum(1 for c in rel.columns if c.startswith("b"))
-        n_in = sum(1 for c in rel.columns if c.startswith("a"))
-        schema = backward_schema(n_out, n_in)
+        schema = backward_schema_of(rel.columns)
         cdf = provrc.compress(rel, schema)
         sizes["ProvRC"] += storage.write(cdf, schema, f"{stem}.prc")
         sizes["ProvRC-GZip"] += storage.write(cdf, schema, f"{stem}.prc.gz", gzipped=True)

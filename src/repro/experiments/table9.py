@@ -20,7 +20,8 @@ import pandas as pd
 
 from repro.capture import numpy_ops as nops
 from repro.core import provrc, storage
-from repro.reuse.signatures import ReuseIndex, _schema_for
+from repro.core.model import backward_schema_of
+from repro.reuse.signatures import ReuseIndex
 
 PAPER_TABLE9 = pd.DataFrame(
     [
@@ -55,7 +56,7 @@ def _compresses(spec: nops.OpSpec, rng) -> bool:
     provrc_bytes = 0
     raw_bytes = 0
     for rel in cap.relations:
-        schema = _schema_for(rel)
+        schema = backward_schema_of(rel.columns)
         cdf = provrc.compress(rel, schema)
         provrc_bytes += len(storage.serialize(cdf, schema))
         raw_bytes += len(rel.to_csv(index=False).encode())

@@ -22,7 +22,9 @@ works on int64 matrices from end to end:
    paper's separate ``rel_for`` is not needed).
 3. **Project + merge** — keep only the next array's attributes and merge
    overlapping/adjacent intervals per group (the paper's row-reduction
-   optimization; skipping it gives the DSLog-NoMerge baseline).
+   optimization; skipping it gives the DSLog-NoMerge baseline). The merge
+   is ``ranges.union_sweep``, the range encoding ProvRC step 1 and the
+   query encoding also run.
 
 Chained queries repeat the θ-join along the path, renaming each result's
 axes to the next table's key attributes positionally (the arrays are the
@@ -89,20 +91,15 @@ def _range_join(q: np.ndarray, table: list[np.ndarray], n_key: int) -> np.ndarra
 
 
 def merge_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
-    """Row-reduction: union-sweep each attribute in turn, grouped by the
-    others, on one int64 matrix.
+    """Row-reduction: one ``ranges.union_sweep`` over every attribute,
+    first to last, each grouped by the others.
 
-    ``df``'s columns are the ``lo``/``hi`` pairs of ``cols``. Every sweep
-    sorts by all of them, so identical rows meet in one run and the first
-    sweep also drops duplicates.
+    ``df``'s columns are the ``lo``/``hi`` pairs of ``cols``, in that
+    order (``value_columns``). Every sweep sorts by all of them, so
+    identical rows meet in one run and the first sweep also drops
+    duplicates.
     """
-    if df.empty:
-        return df
-    names = list(df.columns)
-    pairs = [(names.index(rg.lo(c)), names.index(rg.hi(c))) for c in cols]
-    m = df.to_numpy(np.int64)
-    for j, pair in enumerate(pairs):
-        m = rg.union_sweep(m, pair, pairs[:j] + pairs[j + 1 :])
+    m = rg.union_sweep(df.to_numpy(np.int64), list(range(len(cols))))
     return pd.DataFrame(m, columns=df.columns)
 
 
@@ -168,18 +165,11 @@ def intervals_to_cells(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
     """Expand an interval result into its distinct cells, sorted (for
     display and the oracle); int64 columns ``cols``, empty if ``df`` is.
 
-    The rows expand one attribute at a time with ``ranges.expand`` into
-    one column per attribute (the Cartesian product of each row's
-    intervals); duplicates go by hash (``drop_duplicates``) before one
-    ``np.lexsort``.
+    The rows expand with ``ranges.cartesian`` (the Cartesian product of
+    each row's intervals, as in ``provrc.decompress``); duplicates go by
+    hash (``drop_duplicates``) before one ``np.lexsort``.
     """
-    row = np.arange(len(df))
-    cells: list[np.ndarray] = []
-    for c in cols:
-        src, val = rg.expand(
-            df[rg.lo(c)].to_numpy(np.int64)[row], df[rg.hi(c)].to_numpy(np.int64)[row], c
-        )
-        cells = [x[src] for x in cells] + [val]
-        row = row[src]
-    out = pd.DataFrame(dict(zip(cols, cells))).drop_duplicates()
-    return rg.sort_rows(out, cols)
+    lo_m = np.column_stack([df[rg.lo(c)].to_numpy(np.int64) for c in cols])
+    hi_m = np.column_stack([df[rg.hi(c)].to_numpy(np.int64) for c in cols])
+    _, cells = rg.cartesian(lo_m, hi_m, cols)
+    return rg.sort_rows(pd.DataFrame(cells, columns=cols).drop_duplicates(), cols)

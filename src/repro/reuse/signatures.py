@@ -28,15 +28,9 @@ import pandas as pd
 
 from repro.core import provrc
 from repro.core import ranges as rg
-from repro.core.model import LineageSchema, backward_schema
+from repro.core.model import LineageSchema, backward_schema_of
 
 Shapes = tuple[tuple[int, ...], ...]
-
-
-def _schema_for(rel: pd.DataFrame) -> LineageSchema:
-    n_out = sum(1 for c in rel.columns if c.startswith("b"))
-    n_in = sum(1 for c in rel.columns if c.startswith("a"))
-    return backward_schema(n_out, n_in)
 
 
 def _flat_dims(in_shapes: Shapes) -> list[int]:
@@ -198,7 +192,7 @@ class ReuseIndex:
         if st is None:
             gens = []
             for rel in relations:
-                schema = _schema_for(rel)
+                schema = backward_schema_of(rel.columns)
                 cdf = provrc.compress(rel, schema)
                 gens.append(generalize(cdf, schema, shapes))
             self._gen[key] = _SigState(stored=gens, shapes=shapes)
@@ -222,7 +216,7 @@ class ReuseIndex:
         if len(gens) != len(relations):
             return False
         for gen, rel in zip(gens, relations):
-            schema = _schema_for(rel)
+            schema = backward_schema_of(rel.columns)
             if schema != gen.schema:
                 return False
             try:

@@ -61,23 +61,6 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
     return spark.createDataFrame(pdf)
 
 
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(
-                ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
-            ),
-            "p_brand": g.choice([f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
-            "p_size": g.integers(1, 51, n),
-            "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
 def imdb_like(
     spark: SparkSession, *, n_titles: int = 50_000, n_episodes: int = 80_000, seed: int = 7
 ) -> tuple[DataFrame, DataFrame]:
@@ -106,18 +89,3 @@ def imdb_like(
         }
     )
     return spark.createDataFrame(basics), spark.createDataFrame(episodes)
-
-
-def image_frame(h: int = 416, w: int = 416, c: int = 3, *, seed: int = 9) -> np.ndarray:
-    """Synthetic VIRAT-like frame: smooth background + a few rectangles
-    (the "car" objects a detector would fire on)."""
-    g = _rng(seed)
-    yy, xx = np.mgrid[0:h, 0:w]
-    base = 0.5 + 0.3 * np.sin(yy / 37.0) * np.cos(xx / 53.0)
-    img = np.repeat(base[:, :, None], c, axis=2)
-    box = max(2, min(h, w) // 7)
-    for _ in range(4):
-        y0, x0 = g.integers(0, max(1, h - box)), g.integers(0, max(1, w - box))
-        dy, dx = g.integers(1, box + 1), g.integers(1, box + 1)
-        img[y0 : y0 + dy, x0 : x0 + dx, :] += g.random(3) * 0.4
-    return np.clip(img, 0, 1)

@@ -25,7 +25,7 @@ import pandas as pd
 
 from repro.capture import patterns as pt
 from repro.core import provrc, storage
-from repro.core.model import backward_schema
+from repro.core.model import backward_schema_of
 
 
 def _value_filter_rel(n: int, seed: int) -> pd.DataFrame:
@@ -83,9 +83,7 @@ PROFILES = {
 def kind_is_compressible(kind: str) -> bool:
     """Run ProvRC on the kind's small instance; apply the <0.5 criterion."""
     rel = CATALOG[kind]()
-    n_out = sum(1 for c in rel.columns if c.startswith("b"))
-    n_in = sum(1 for c in rel.columns if c.startswith("a"))
-    schema = backward_schema(n_out, n_in)
+    schema = backward_schema_of(rel.columns)
     cdf = provrc.compress(rel, schema)
     provrc_bytes = len(storage.serialize(cdf, schema))
     raw_bytes = len(rel.to_csv(index=False).encode())

@@ -2,10 +2,11 @@
 
 These are the straightforward Python loops that ``provrc._scan_key_pass``,
 ``provrc._encode_key_pass`` and ``ranges.union_sweep`` replace with
-whole-column numpy, and the cross-product θ-join that
-``theta_join._range_join`` replaces with a sort-based interval join.
-Tests compare the two on random inputs; nothing in ``src/`` imports this
-module.
+whole-column numpy, the cross-product θ-join that
+``theta_join._range_join`` replaces with a sort-based interval join, and
+the pandas gaps-and-islands step 1 that ``provrc._encode_values`` and
+``provrc.encode_query`` replace with ``ranges.union_sweep``. Tests compare
+the two on random inputs; nothing in ``src/`` imports this module.
 """
 from __future__ import annotations
 
@@ -21,6 +22,58 @@ from repro.core.provrc import (
     interval_columns,
     value_columns,
 )
+
+
+def to_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
+    """Scalar integer columns -> degenerate ``[v, v]`` interval columns."""
+    out = {}
+    for c in cols:
+        v = df[c].to_numpy(dtype="float64")
+        out[rg.lo(c)] = v
+        out[rg.hi(c)] = v
+    return pd.DataFrame(out)
+
+
+def encode_value_pass(df: pd.DataFrame, target: str, other_cols: list[str]) -> pd.DataFrame:
+    """One step-1 pass: merge maximal runs of consecutive ``target``
+    values whose every other attribute matches exactly (gaps and islands:
+    each run keeps its first row, with the ``hi`` of its last row)."""
+    if df.empty:
+        return df
+    sort_cols = []
+    for c in other_cols:
+        sort_cols += [rg.lo(c), rg.hi(c)]
+    sort_cols.append(rg.lo(target))
+    df = df.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
+    t_lo = df[rg.lo(target)].to_numpy()
+    t_hi = df[rg.hi(target)].to_numpy()
+    new_run = rg.group_changed(df, other_cols)
+    new_run[1:] |= t_lo[1:] != t_hi[:-1] + 1
+    starts = np.flatnonzero(new_run)
+    out = df.iloc[starts].reset_index(drop=True)
+    out[rg.hi(target)] = t_hi[np.append(starts[1:], len(df)) - 1]
+    return out
+
+
+def range_encode(df: pd.DataFrame, targets: list[str], cols: list[str]) -> pd.DataFrame:
+    """Deduplicated scalar ``cols`` range-encoded by one
+    ``encode_value_pass`` per target, last first (float64 intervals)."""
+    work = to_intervals(df.drop_duplicates(subset=cols), cols)
+    for target in reversed(targets):
+        work = encode_value_pass(work, target, [c for c in cols if c != target])
+    return work
+
+
+def encode_values_reference(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
+    """Step 1 over the value attributes, then every ``value - key`` delta."""
+    cols = list(schema.key_cols) + list(schema.val_cols)
+    work = range_encode(df, list(schema.val_cols), cols)
+    for v in schema.val_cols:
+        for k in schema.key_cols:
+            d = rg.delta(v, k)
+            work[rg.lo(d)] = work[rg.lo(v)] - work[rg.lo(k)]
+            work[rg.hi(d)] = work[rg.hi(v)] - work[rg.lo(k)]
+    return work
 
 
 def scan_key_pass_loop(

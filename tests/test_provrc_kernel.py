@@ -28,9 +28,7 @@ class TestStep1:
         cdf = provrc.compress(sum_axis1_lineage(), schema)
         # Before step 2 would merge them, step 1 alone gives 3 rows; the
         # full algorithm merges to 1 (Table II). Check step 1 in isolation.
-        work = provrc.to_intervals(sum_axis1_lineage(), ["b0", "a0", "a1"])
-        work = provrc._encode_value_pass(work, "a1", ["b0", "a0"])
-        work = provrc._encode_value_pass(work, "a0", ["b0", "a1"])
+        work = provrc._encode_values(sum_axis1_lineage(), schema)
         assert len(work) == 3
         got = work.sort_values(lo("b0")).reset_index(drop=True)
         for r in range(3):
@@ -44,10 +42,10 @@ class TestStep1:
         """range({1,2,3,4,9,12..15}) = {[1,4],[9],[12,15]} (paper §IV.A)."""
         vals = [1, 2, 3, 4, 9, 12, 13, 14, 15]
         df = pd.DataFrame({"b0": [0] * len(vals), "a0": vals})
-        work = provrc.to_intervals(df, ["b0", "a0"])
-        work = provrc._encode_value_pass(work, "a0", ["b0"])
+        work = provrc.encode_query(df, ["b0", "a0"])
+        assert (work[lo("b0")] == 0).all() and (work[hi("b0")] == 0).all()
         got = sorted(zip(work[lo("a0")], work[hi("a0")]))
-        assert got == [(1.0, 4.0), (9.0, 9.0), (12.0, 15.0)]
+        assert got == [(1, 4), (9, 9), (12, 15)]
 
 
 class TestStep2:

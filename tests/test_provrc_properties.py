@@ -8,18 +8,25 @@
   correlated-delta patterns, where exactness is not promised — DESIGN.md);
 - the vectorized step-2 key pass returns the same frame as the
   row-at-a-time reference in ``tests/reference_loops.py``, per ordering
-  and for the whole pass;
+  and for the whole pass, and step 1 and the query encoding give the same
+  rows as the former pandas passes kept there;
 - ``compress`` is separable on primary-key ranges: ``chunk`` per range,
   concatenated, then ``stitch`` equals ``compress`` row for row.
 """
 import numpy as np
 import pandas as pd
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import provrc
+from repro.core import ranges as rg
 from repro.core.model import backward_schema, forward_schema
 from repro.insitu.theta_join import intervals_to_cells, theta_join
-from tests.reference_loops import encode_key_pass_all_orderings, scan_key_pass_loop
+from tests.reference_loops import (
+    encode_key_pass_all_orderings,
+    encode_values_reference,
+    range_encode,
+    scan_key_pass_loop,
+)
 
 relation_1x1 = st.lists(
     st.tuples(st.integers(0, 12), st.integers(0, 12)),
@@ -54,6 +61,15 @@ relation_2x2 = st.one_of(
         max_size=80,
     ).map(lambda rows: [(b0, b1, b0 + d0, b1 + d1) for b0, b1, d0, d1 in rows]),
 ).map(lambda rows: pd.DataFrame(rows, columns=["b0", "b1", "a0", "a1"]))
+
+
+# Few distinct values, so that cells sharing their other attributes meet
+# and the order of step 1's value sweeps shows in its rows.
+relation_dense_1x2 = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2)),
+    min_size=1,
+    max_size=30,
+).map(lambda rows: pd.DataFrame(rows, columns=["b0", "a0", "a1"]))
 
 
 def _schema_of(rel: pd.DataFrame, forward: bool):
@@ -122,6 +138,42 @@ def test_scan_matches_loop_reference(rel, forward):
         want = encode_key_pass_all_orderings(work, target, others, *args)
         pd.testing.assert_frame_equal(got, want, check_exact=True)
         work = got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(relation_1x1, relation_1x2, relation_2x1, relation_2x2, relation_dense_1x2),
+    st.booleans(),
+)
+@example(pd.DataFrame({"b0": [0, 0, 0], "a0": [0, 0, 1], "a1": [0, 1, 0]}), False)
+def test_step1_matches_reference(rel, forward):
+    """Step 1 (``_encode_values``, duplicates included) and the query
+    encoding (every column) give the reference passes' rows. The explicit
+    example is an L of three cells, whose rows depend on which value is
+    swept first."""
+    schema = _schema_of(rel, forward)
+
+    def rows(df):
+        return rg.sort_rows(df, list(df.columns))
+
+    got = provrc._encode_values(rel, schema)
+    want = encode_values_reference(rel, schema)
+    pd.testing.assert_frame_equal(rows(got), rows(want), check_exact=True)
+    cols = list(schema.full_cols)
+    got = provrc.encode_query(rel, cols)
+    want = range_encode(rel, cols, cols).astype("int64")
+    pd.testing.assert_frame_equal(rows(got), rows(want), check_exact=True)
+
+
+def test_empty_relation_roundtrip():
+    for schema in (backward_schema(2, 1), forward_schema(2, 1)):
+        empty = pd.DataFrame({c: np.array([], np.int64) for c in schema.full_cols})
+        cdf = provrc.compress(empty, schema)
+        assert list(cdf.columns) == provrc.interval_columns(schema) and len(cdf) == 0
+        assert (cdf.dtypes == np.int64).all()
+        back = provrc.decompress(cdf, schema)
+        assert list(back.columns) == list(schema.full_cols) and len(back) == 0
+        assert (back.dtypes == np.int64).all()
 
 
 @settings(max_examples=60, deadline=None)

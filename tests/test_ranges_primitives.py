@@ -59,20 +59,22 @@ class TestExpand:
 
 
 class TestExplodeInterval:
+    """``cartesian``: the one interval expansion (decompress, cells)."""
+
     def test_expands_and_drops_pair(self):
-        df = interval_df([(0, 2), (5, 5)])
-        out = rg.explode_interval(df, "x", "v")
-        assert out["v"].tolist() == [0, 1, 2, 5]
-        assert "x_lo" not in out.columns
+        lo_m = np.array([[0, 7], [5, 1]])
+        hi_m = np.array([[1, 8], [5, 1]])
+        row, cells = rg.cartesian(lo_m, hi_m, ["x", "y"])
+        assert row.tolist() == [0, 0, 0, 0, 1]
+        assert cells.tolist() == [[0, 7], [0, 8], [1, 7], [1, 8], [5, 1]]
 
     def test_empty(self):
-        df = interval_df([])
-        out = rg.explode_interval(df, "x", "v")
-        assert len(out) == 0 and "v" in out.columns
+        row, cells = rg.cartesian(np.empty((0, 2), np.int64), np.empty((0, 2), np.int64), "xy")
+        assert row.shape == (0,) and cells.shape == (0, 2) and cells.dtype == np.int64
 
     def test_inverted_raises(self):
-        with pytest.raises(ValueError):
-            rg.explode_interval(interval_df([(3, 1)]), "x", "v")
+        with pytest.raises(ValueError, match="in y"):
+            rg.cartesian(np.array([[0, 3]]), np.array([[2, 1]]), ["x", "y"])
 
 
 class TestUnionSweep:
@@ -80,18 +82,18 @@ class TestUnionSweep:
 
     def test_merges_overlap_and_adjacent(self):
         m = np.array([(0, 2), (3, 5), (5, 7), (10, 11)], dtype=np.int64)
-        out = rg.union_sweep(m, (0, 1), [])
+        out = rg.union_sweep(m, [0])
         assert sorted(map(tuple, out.tolist())) == [(0, 7), (10, 11)]
 
     def test_contained_interval_absorbed(self):
         m = np.array([(0, 10), (2, 3)], dtype=np.int64)
-        out = rg.union_sweep(m, (0, 1), [])
+        out = rg.union_sweep(m, [0])
         assert out.tolist() == [[0, 10]]
 
     def test_respects_groups(self):
         # Columns: x_lo, x_hi, g_lo, g_hi.
         m = np.array([(0, 1, 0, 0), (2, 3, 0, 0), (0, 1, 1, 1)], dtype=np.int64)
-        out = rg.union_sweep(m, (0, 1), [(2, 3)])
+        out = rg.union_sweep(m, [0])
         assert out.tolist() == [[0, 3, 0, 0], [0, 1, 1, 1]]  # group 0 merges [0,3]; group 1 stays
 
     @settings(max_examples=80, deadline=None)
@@ -114,12 +116,7 @@ class TestUnionSweep:
         cols[rg.hi("x")] = [r[4] + r[5] for r in rows]
         df = pd.DataFrame(cols, dtype="int64")
         groups = [f"g{j}" for j in range(n_groups)]
-        pos = {c: i for i, c in enumerate(df.columns)}
-        got = rg.union_sweep(
-            df.to_numpy(),
-            (pos[rg.lo("x")], pos[rg.hi("x")]),
-            [(pos[rg.lo(g)], pos[rg.hi(g)]) for g in groups],
-        )
+        got = rg.union_sweep(df.to_numpy(), [n_groups])
         pd.testing.assert_frame_equal(
             pd.DataFrame(got, columns=df.columns), union_sweep_loop(df, "x", groups)
         )

@@ -126,8 +126,3 @@ class TestSynthData:
         assert b["isAdult"].nunique() == 2  # unsorted low cardinality
         e = episodes.toPandas()
         assert (np.diff(e["tconst"]) >= 0).all()
-
-    def test_image_frame(self):
-        img = synth_data.image_frame(64, 48, 3, seed=2)
-        assert img.shape == (64, 48, 3)
-        assert img.min() >= 0 and img.max() <= 1

@@ -1,6 +1,7 @@
 """Spark-parallel ProvRC: the same table as the pandas kernel (row for
-row, in order, for 1, 4 and 8 primary-key ranges), losslessness through
-the Spark path, and the DuckDB oracle on query results.
+row, in order, for 1, 4 and 8 hash partitions of the primary key),
+losslessness through the Spark path, and the DuckDB oracle on query
+results.
 """
 import numpy as np
 import pandas as pd
@@ -16,7 +17,7 @@ from repro.oracle import assert_equivalent
 
 
 def _compress_like_kernel(spark, rel, schema, n_buckets=(1, 4, 8), fields=None):
-    """``compress_spark`` at each range count; every result must equal
+    """``compress_spark`` at each partition count; every result must equal
     ``provrc.compress`` exactly (same rows, same order, int64)."""
     want = provrc.compress(rel, schema)
     sdf = spark.createDataFrame(rel, fields)
@@ -95,7 +96,7 @@ def test_partition_is_chunked_whole_not_per_arrow_batch(spark):
 
 
 def test_fewer_primary_key_values_than_ranges(spark):
-    rel = pt.reduce_axis((3, 40), 1)  # 3 output cells, 8 ranges asked for
+    rel = pt.reduce_axis((3, 40), 1)  # 3 output cells, 8 partitions asked for
     cdf = _compress_like_kernel(spark, rel, backward_schema(1, 2), (8,))
     assert len(cdf) == 1
 
