@@ -245,17 +245,17 @@ def _encode_values(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
 def chunk(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     """Every pass of ``compress`` that stays within one primary-key value.
 
-    Drops duplicate rows, runs step 1 and the relative value
-    transformation, then every key pass except the primary key's
-    (``schema.key_cols[0]``), and returns the candidate form ``stitch``
-    consumes. The primary key is still scalar throughout, and every merge
-    here groups on it, so running ``chunk`` on pieces of the relation that
-    each hold all rows of their primary-key values (hash partitions of it,
-    say) and
-    concatenating the results gives the same rows as running it on the
-    whole relation.
+    Runs step 1 and the relative value transformation, then every key
+    pass except the primary key's (``schema.key_cols[0]``), and returns
+    the candidate form ``stitch`` consumes. Step 1's first sweep also
+    merges duplicate rows (every schema has a value attribute, and
+    identical rows fall into one run). The primary key is still scalar
+    throughout, and every merge here groups on it, so running ``chunk``
+    on pieces of the relation that each hold all rows of their
+    primary-key values (hash partitions of it, say) and concatenating the
+    results gives the same rows as running it on the whole relation.
     """
-    work = _encode_values(df.drop_duplicates(subset=list(schema.full_cols)), schema)
+    work = _encode_values(df, schema)
     for j in range(len(schema.key_cols) - 1, 0, -1):
         work = _key_pass(work, j, schema)
     return work
@@ -282,7 +282,7 @@ def compress(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     """Run the full ProvRC algorithm on an uncompressed lineage relation.
 
     ``df`` has one scalar integer column per axis (``schema.full_cols``);
-    duplicate rows are dropped first (set semantics). Returns the
+    duplicate rows merge in step 1 (set semantics). Returns the
     finalized compressed table (``interval_columns(schema)``), in which
     each value attribute keeps exactly one representation, matching the
     paper's tables. ``stitch(chunk(df))``: Spark runs the same two halves,
@@ -296,14 +296,16 @@ def finalize(cdf: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
 
     Absolute is preferred (paper pattern (2) over (3)); otherwise the
     first surviving delta is kept. Returns the finalized int64 layout
-    ``interval_columns(schema)``.
+    ``interval_columns(schema)``, one int64 block filled row by row of a
+    ``(n_cols, n)`` matrix, as ``storage.deserialize`` builds it.
     """
+    cols = interval_columns(schema)
+    m = np.empty((len(cols), len(cdf)), dtype=np.int64)
+    k = 2 * schema.n_key
+    for j, c in enumerate(cols[:k]):
+        m[j] = cdf[c].to_numpy()
     rows = np.arange(len(cdf))
-    out = {}
-    for k in schema.key_cols:
-        out[rg.lo(k)] = cdf[rg.lo(k)].to_numpy()
-        out[rg.hi(k)] = cdf[rg.hi(k)].to_numpy()
-    for v in schema.val_cols:
+    for i, v in enumerate(schema.val_cols):
         cands = _candidates(v, schema.key_cols)
         los = np.column_stack([cdf[rg.lo(c)].to_numpy() for c in cands])
         his = np.column_stack([cdf[rg.hi(c)].to_numpy() for c in cands])
@@ -311,10 +313,10 @@ def finalize(cdf: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
         if not avail.any(axis=1).all():
             raise ValueError(f"value attribute {v} has no representation in some rows")
         code = avail.argmax(axis=1)
-        out[rg.rep(v)] = code
-        out[rg.lo(v)] = los[rows, code]
-        out[rg.hi(v)] = his[rows, code]
-    return pd.DataFrame(out, columns=interval_columns(schema)).astype("int64")
+        m[k + 3 * i] = code
+        m[k + 3 * i + 1] = los[rows, code]
+        m[k + 3 * i + 2] = his[rows, code]
+    return pd.DataFrame(m.T, columns=cols)
 
 
 def absolute_values(vals: np.ndarray, key_lo: np.ndarray, key_hi: np.ndarray) -> np.ndarray:

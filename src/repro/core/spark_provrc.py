@@ -10,10 +10,10 @@ hash-partitioned on the primary key (``schema.key_cols[0]``) with one
 collected candidate rows.
 
 The split is exact, not an approximation: every merge that ``chunk``
-performs (duplicate removal, step 1, and every key pass but the primary
-key's) happens within a single primary-key value, because that key is
-still scalar until its own pass runs, and hash partitioning keeps equal
-keys in one partition. Partitions need not hold contiguous key ranges:
+performs (step 1, which also merges duplicate rows, and every key pass
+but the primary key's) happens within a single primary-key value,
+because that key is still scalar until its own pass runs, and hash
+partitioning keeps equal keys in one partition. Partitions need not hold contiguous key ranges:
 only the primary-key pass merges across key values, and ``stitch`` runs
 it once over all of them and sorts its input. So after one exchange the
 result equals ``provrc.compress`` row for row, in the same order.
@@ -65,11 +65,14 @@ def _chunk(
 
 
 def compress_spark(
-    df: DataFrame, schema: LineageSchema, *, n_buckets: int = 64
+    df: DataFrame, schema: LineageSchema, *, n_buckets: int | None = None
 ) -> DataFrame:
     """Compress a full lineage relation (integer columns per axis) with
     ProvRC: ``provrc.chunk`` per hash partition of the primary key in the
-    executors (``n_buckets`` partitions), ``provrc.stitch`` on the driver.
+    executors (``n_buckets`` partitions, by default the session's
+    ``defaultParallelism``: every partition is one Python task, so more
+    partitions than cores only add tasks), ``provrc.stitch`` on the
+    driver.
 
     Returns ``interval_columns(schema)`` as non-nullable longs, the same
     rows in the same order as ``provrc.compress``.
@@ -77,6 +80,7 @@ def compress_spark(
     cand = StructType(
         [StructField(c, DoubleType()) for c in _candidate_columns(schema)]
     )
+    n_buckets = n_buckets or df.sparkSession.sparkContext.defaultParallelism
     work = (
         df.repartition(n_buckets, schema.key_cols[0])
         .mapInPandas(partial(_chunk, schema), cand)

@@ -6,7 +6,10 @@ delta vs key axis j) plus the int32 lo/hi of the chosen representation —
 exactly the information in the paper's finalized tables, and exactly the
 columns of the in-memory finalized table (``provrc.interval_columns``),
 so ``serialize`` is a near-copy and ``deserialize`` returns that table
-directly. ``ProvRC-GZip`` gzips the same payload; the paper applies it by
+directly: one ``(n_cols, n)`` int64 matrix, one row per column, filled
+from the streams and wrapped once as the frame's single int64 block (the
+form ``provrc.finalize`` builds too, and which the θ-join reads with one
+``to_numpy``). ``ProvRC-GZip`` gzips the same payload; the paper applies it by
 default because it wins on unstructured lineage at negligible cost for
 structured lineage.
 
@@ -56,6 +59,8 @@ def _put_stream(parts: list[bytes], arr: np.ndarray) -> None:
 
 
 def _take_stream(buf: bytes, off: int, dtype: str, n: int) -> tuple[np.ndarray, int]:
+    """The stream at ``off`` (one value if it is a constant run) and the
+    offset after it."""
     if off >= len(buf):
         raise ValueError(f"truncated ProvRC file: stream at byte {off} is missing")
     flag = buf[off]
@@ -68,10 +73,7 @@ def _take_stream(buf: bytes, off: int, dtype: str, n: int) -> tuple[np.ndarray, 
             f"truncated ProvRC file: stream at byte {off} needs {size} bytes, "
             f"{len(buf) - off - 1} left"
         )
-    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=off + 1)
-    if flag == 1:
-        arr = np.full(n, arr[0], dtype=dtype)
-    return arr, off + 1 + size
+    return np.frombuffer(buf, dtype=dtype, count=count, offset=off + 1), off + 1 + size
 
 
 def _lo_width(cdf: pd.DataFrame, col: str) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +108,12 @@ def serialize(cdf: pd.DataFrame, schema: LineageSchema) -> bytes:
 
 
 def deserialize(buf: bytes) -> tuple[pd.DataFrame, LineageSchema]:
-    """Decode a ProvRC file into its finalized table and schema."""
+    """Decode a ProvRC file into its finalized table and schema.
+
+    Every stream is validated first; then one int64 matrix is filled (key
+    ``lo`` from a cumulative sum of its deltas, every ``hi`` as ``lo`` +
+    width) and becomes the table's only block.
+    """
     if buf[:4] != _MAGIC:
         raise ValueError("not a ProvRC file (bad magic)")
     if len(buf) < 16:
@@ -121,32 +128,31 @@ def deserialize(buf: bytes) -> tuple[pd.DataFrame, LineageSchema]:
         if direction == 0
         else forward_schema(n_val, n_key)
     )
+    dtypes = ["<i4"] * (2 * n_key) + ["u1", "<i4", "<i4"] * n_val
+    streams = []
     off = 16
-
-    def take(dtype: str) -> np.ndarray:
-        nonlocal off
+    for r, dtype in enumerate(dtypes):
         arr, off = _take_stream(buf, off, dtype, n)
-        return arr.astype("int64")
-
-    cols: dict[str, np.ndarray] = {}
-    for k in schema.key_cols:
-        cols[rg.lo(k)] = np.cumsum(take("<i4"))
-        cols[rg.hi(k)] = cols[rg.lo(k)] + take("<i4")
-    for v in schema.val_cols:
-        code = take("u1")
-        if len(code) and code.max() > n_key:
+        if dtype == "u1" and n and arr.max() > n_key:
             raise ValueError(
-                f"corrupt ProvRC file: value attribute {v} has representation "
-                f"code {code.max()}, but the file has {n_key} key attributes"
+                f"corrupt ProvRC file: value attribute {schema.val_cols[(r - 2 * n_key) // 3]} "
+                f"has representation code {arr.max()}, but the file has {n_key} key attributes"
             )
-        cols[rg.rep(v)] = code
-        cols[rg.lo(v)] = take("<i4")
-        cols[rg.hi(v)] = cols[rg.lo(v)] + take("<i4")
+        streams.append(arr)
     if off != len(buf):
         raise ValueError(
             f"corrupt ProvRC file: {len(buf) - off} trailing bytes after the last stream"
         )
-    return pd.DataFrame(cols, columns=interval_columns(schema)), schema
+    # One int64 row per column of ``interval_columns``; a constant
+    # stream's single value is broadcast.
+    m = np.empty((len(dtypes), n), dtype=np.int64)
+    for row, arr in zip(m, streams):
+        row[:] = arr
+    k = 2 * n_key
+    m[0:k:2] = np.cumsum(m[0:k:2], axis=1)
+    m[1:k:2] += m[0:k:2]
+    m[k + 2 :: 3] += m[k + 1 :: 3]
+    return pd.DataFrame(m.T, columns=interval_columns(schema)), schema
 
 
 def write(cdf: pd.DataFrame, schema: LineageSchema, path: str | Path, *, gzipped: bool = False) -> int:

@@ -12,7 +12,11 @@ primary key attribute's lower bound, so a query step's hull predicate
 - prunes row groups via their min/max statistics, because sorting makes
   the lo/hi columns clustered.
 
-Schema metadata (direction, axis counts) travels in a sidecar JSON.
+Schema metadata (direction, axis counts) travels in a sidecar JSON. The
+stored columns are always ``provrc.interval_columns(schema)`` as longs
+(``write_store`` selects and casts them), so ``open_store`` hands that
+schema to the reader instead of having Spark infer it from the Parquet
+footers, which costs one Spark job per open.
 """
 from __future__ import annotations
 
@@ -20,15 +24,30 @@ import json
 from pathlib import Path
 
 from pyspark.sql import DataFrame, SparkSession, functions as F
+from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core import ranges as rg
 from repro.core.model import LineageSchema, backward_schema, forward_schema
+from repro.core.provrc import interval_columns
+
+
+def _longs(schema: LineageSchema) -> StructType:
+    """The stored schema: ``interval_columns(schema)`` as longs."""
+    return StructType([StructField(c, LongType()) for c in interval_columns(schema)])
 
 
 def write_store(cdf: DataFrame, schema: LineageSchema, path: str | Path) -> None:
+    """Persist a finalized table: its ``interval_columns(schema)``, cast to
+    longs, range-partitioned and sorted on the primary key's ``lo``."""
     path = Path(path)
     primary = schema.key_cols[0]
     n_parts = max(1, min(16, cdf.rdd.getNumPartitions()))
+    longs = _longs(schema)
+    # A frame that already has exactly these columns and types (any
+    # nullability) is written as it is: the projection would cost a
+    # Python-to-JVM call per column and change nothing stored.
+    if [(f.name, f.dataType) for f in cdf.schema] != [(f.name, f.dataType) for f in longs]:
+        cdf = cdf.select([F.col(c).cast(LongType()) for c in longs.names])
     (
         cdf.repartitionByRange(n_parts, F.col(rg.lo(primary)))
         .sortWithinPartitions(rg.lo(primary))
@@ -51,8 +70,10 @@ def read_schema(path: str | Path) -> LineageSchema:
 
 
 def open_store(spark: SparkSession, path: str | Path) -> tuple[DataFrame, LineageSchema]:
+    """A store's table and schema; the Parquet schema comes from
+    ``schema.json``, not from a scan of the footers."""
     schema = read_schema(path)
-    return spark.read.parquet(str(Path(path) / "data")), schema
+    return spark.read.schema(_longs(schema)).parquet(str(Path(path) / "data")), schema
 
 
 def overlapping(df: DataFrame, schema: LineageSchema, lo: int, hi: int) -> DataFrame:

@@ -1,8 +1,10 @@
 """The θ-join over compressed lineage tables (paper §V.B), numpy kernel.
 
 A query is a table of intervals over the key attributes of a compressed
-table (the paper's Q', produced by ``provrc.encode_query``). One θ-join
-works on int64 matrices from end to end:
+table (the paper's Q', produced by ``provrc.encode_query``). One θ-join,
+``join_step``, works on int64 matrices from end to end; ``theta_join``
+reads a query frame and a table frame into one matrix each and wraps the
+result:
 
 1. **Range join** — an interval join on the primary key (the first key
    attribute): the table is sorted by its ``lo``, each query row's
@@ -26,9 +28,14 @@ works on int64 matrices from end to end:
    is ``ranges.union_sweep``, the range encoding ProvRC step 1 and the
    query encoding also run.
 
-Chained queries repeat the θ-join along the path, renaming each result's
-axes to the next table's key attributes positionally (the arrays are the
-same, only the role flips from "output of op k" to "input of op k+1").
+Chained queries (``chain_query``) repeat ``join_step`` along the path and
+pass each step's int64 result on as the next step's query: its value
+attributes are the next table's key attributes, positionally (the arrays
+are the same, only the role flips from "output of op k" to "input of op
+k+1"), so no frame is built and nothing is renamed between steps. Spark
+(``spark_query``) runs ``theta_join`` per partition and
+``merge_intervals`` plus ``as_next_query`` on the driver: the same
+functions, with a frame per step.
 """
 from __future__ import annotations
 
@@ -44,13 +51,13 @@ from repro.core.provrc import absolute_values, interval_columns, value_columns
 PAIR_BUDGET = 1 << 18
 
 
-def _range_join(q: np.ndarray, table: list[np.ndarray], n_key: int) -> np.ndarray:
+def _range_join(q: np.ndarray, table: np.ndarray, n_key: int) -> np.ndarray:
     """Rows of the table joined with every query row whose key intervals
     all overlap theirs, keys cut to the intersection and values made
     absolute.
 
-    ``q`` is an int64 matrix of key ``lo``/``hi`` pairs; ``table`` holds
-    the table's int64 columns in ``interval_columns`` order, so only the
+    ``q`` is an int64 matrix of key ``lo``/``hi`` pairs; ``table`` is the
+    table's int64 matrix in ``interval_columns`` order, of which only the
     candidate rows are ever gathered. The table is stable-sorted by its
     primary-key ``lo``. A row overlapping ``[q_lo, q_hi]`` on that axis has
     ``lo`` in ``[q_lo - w, q_hi]``, with ``w`` the table's widest
@@ -62,14 +69,14 @@ def _range_join(q: np.ndarray, table: list[np.ndarray], n_key: int) -> np.ndarra
     result is in ``value_columns`` order, one row per overlapping pair,
     ordered by query row, then table row.
     """
-    lo0, hi0 = table[0], table[1]
+    lo0, hi0 = table[:, 0], table[:, 1]
     order = np.argsort(lo0, kind="stable")
     sorted_lo = lo0[order]
     width = (hi0 - lo0).max() if len(lo0) else 0
     first = np.searchsorted(sorted_lo, q[:, 0] - width, side="left")
     counts = np.searchsorted(sorted_lo, q[:, 1], side="right") - first
     ends = np.cumsum(counts)
-    n_val = (len(table) - 2 * n_key) // 3
+    n_val = (table.shape[1] - 2 * n_key) // 3
     blocks = [np.empty((0, 2 * n_val), dtype=np.int64)]  # the result when nothing overlaps
     a = 0
     while a < len(q):
@@ -80,14 +87,53 @@ def _range_join(q: np.ndarray, table: list[np.ndarray], n_key: int) -> np.ndarra
         ri = order[first[qi] + slot]
         keep = np.ones(len(qi), dtype=bool)
         for k in range(n_key):
-            keep &= (q[qi, 2 * k] <= table[2 * k + 1][ri]) & (table[2 * k][ri] <= q[qi, 2 * k + 1])
+            keep &= (q[qi, 2 * k] <= table[ri, 2 * k + 1]) & (table[ri, 2 * k] <= q[qi, 2 * k + 1])
         qi, ri = np.divmod(np.sort(qi[keep] * len(lo0) + ri[keep]), len(lo0))
-        rows = np.column_stack([c[ri] for c in table])
+        rows = table[ri]
         key_lo = np.maximum(rows[:, 0 : 2 * n_key : 2], q[qi, 0::2])
         key_hi = np.minimum(rows[:, 1 : 2 * n_key : 2], q[qi, 1::2])
         blocks.append(absolute_values(rows[:, 2 * n_key :], key_lo, key_hi))
         a = b
     return np.concatenate(blocks)
+
+
+def _merge(m: np.ndarray) -> np.ndarray:
+    """Row-reduction of a θ-join result matrix (``value_columns`` order):
+    one ``ranges.union_sweep`` over every attribute, first to last."""
+    return rg.union_sweep(m, list(range(m.shape[1] // 2)))
+
+
+def join_step(q: np.ndarray, table: np.ndarray, n_key: int, *, merge: bool = True) -> np.ndarray:
+    """One θ-join on int64 matrices: the range join, de-relativization and,
+    with ``merge``, the row-reduction.
+
+    ``q`` holds the query's key ``lo``/``hi`` pairs, ``table`` the
+    compressed table in ``interval_columns`` order, with ``n_key`` key
+    attributes. Returns the absolute value intervals in
+    ``value_columns`` order, which is also the layout of the next step's
+    query. ``theta_join`` wraps it for frames; ``chain_query`` chains it.
+    """
+    out = _range_join(q, table, n_key)
+    return _merge(out) if merge else out
+
+
+def _matrix(df: pd.DataFrame, cols: list[str]) -> np.ndarray:
+    """``df``'s columns ``cols``, in that order, as one int64 matrix.
+
+    Columns are read by name, so their order in ``df`` does not matter.
+    A frame whose columns are exactly ``cols`` (every table that
+    ``provrc.compress`` or ``storage.read`` returns, every query of
+    ``provrc.encode_query``) is read with one ``to_numpy``, a view of its
+    single int64 block.
+    """
+    if list(df.columns) != cols:
+        df = df[cols]
+    return df.to_numpy(np.int64)
+
+
+def _key_columns(schema: LineageSchema) -> list[str]:
+    """Key ``lo``/``hi`` pairs: the columns of a query over ``schema``."""
+    return interval_columns(schema)[: 2 * schema.n_key]
 
 
 def merge_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
@@ -97,10 +143,9 @@ def merge_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
     ``df``'s columns are the ``lo``/``hi`` pairs of ``cols``, in that
     order (``value_columns``). Every sweep sorts by all of them, so
     identical rows meet in one run and the first sweep also drops
-    duplicates.
+    duplicates. ``join_step`` runs the same merge on its matrix.
     """
-    m = rg.union_sweep(df.to_numpy(np.int64), list(range(len(cols))))
-    return pd.DataFrame(m, columns=df.columns)
+    return pd.DataFrame(_merge(df.to_numpy(np.int64)), columns=df.columns)
 
 
 def theta_join(
@@ -112,18 +157,19 @@ def theta_join(
 ) -> pd.DataFrame:
     """One θ-join: returns absolute int64 intervals over ``schema.val_cols``.
 
-    Empty when nothing overlaps (an empty query, an empty table or a
-    query outside the table's keys), with the same int64 columns.
+    ``join_step`` on the query's key columns and the table's
+    ``interval_columns``, each read by name as one int64 matrix, so a
+    table or query with its columns in another order, or with extra
+    columns, gives the same result. Empty when nothing overlaps (an empty query, an empty table
+    or a query outside the table's keys), with the same int64 columns.
     """
-    key_cols = [c for k in schema.key_cols for c in (rg.lo(k), rg.hi(k))]
-    q = np.column_stack([qdf[c].to_numpy(np.int64) for c in key_cols])
-    table = [cdf[c].to_numpy(np.int64) for c in interval_columns(schema)]
-    t = pd.DataFrame(
-        _range_join(q, table, len(schema.key_cols)), columns=value_columns(schema)
+    out = join_step(
+        _matrix(qdf, _key_columns(schema)),
+        _matrix(cdf, interval_columns(schema)),
+        schema.n_key,
+        merge=merge,
     )
-    if merge:
-        t = merge_intervals(t, list(schema.val_cols))
-    return t
+    return pd.DataFrame(out, columns=value_columns(schema))
 
 
 def chain_query(
@@ -134,17 +180,29 @@ def chain_query(
 ) -> pd.DataFrame:
     """Process a query along a path of compressed tables (left to right).
 
-    ``qdf`` holds intervals over the first table's key attributes. Each
-    step's result is renamed positionally to the next table's key
-    attributes. Returns absolute intervals over the last table's value
-    attributes.
+    ``qdf`` holds intervals over the first table's key attributes. Every
+    step is ``join_step`` on int64 matrices, and its result is the next
+    step's query as it stands: its value attributes are, positionally,
+    the next table's key attributes (checked up front, as in
+    ``as_next_query``), so nothing is renamed or rebuilt between steps.
+    Returns absolute intervals over the last table's value attributes,
+    the only frame built.
     """
-    cur = qdf
-    for step, (cdf, schema) in enumerate(tables):
-        if step > 0:
-            cur = as_next_query(cur, tables[step - 1][1], schema)
-        cur = theta_join(cur, cdf, schema, merge=merge)
-    return cur
+    for (_, prev), (_, schema) in zip(tables, tables[1:]):
+        _check_axes(prev, schema)
+    q = _matrix(qdf, _key_columns(tables[0][1]))
+    for cdf, schema in tables:
+        q = join_step(q, _matrix(cdf, interval_columns(schema)), schema.n_key, merge=merge)
+    return pd.DataFrame(q, columns=value_columns(tables[-1][1]))
+
+
+def _check_axes(prev: LineageSchema, schema: LineageSchema) -> None:
+    """A path step's value attributes must be as many as the next table's
+    key attributes."""
+    if len(prev.val_cols) != len(schema.key_cols):
+        raise ValueError(
+            f"path axis count mismatch ({len(prev.val_cols)} vs {len(schema.key_cols)})"
+        )
 
 
 def as_next_query(
@@ -153,23 +211,20 @@ def as_next_query(
     """Relabel a step's result (``value_columns(prev)``, in that order, as
     ``theta_join`` and ``merge_intervals`` return it) positionally as the
     key attributes of the next table, ``schema.key_cols``."""
-    if len(prev.val_cols) != len(schema.key_cols):
-        raise ValueError(
-            f"path axis count mismatch ({len(prev.val_cols)} vs {len(schema.key_cols)})"
-        )
-    keys = [c for k in schema.key_cols for c in (rg.lo(k), rg.hi(k))]
-    return result.set_axis(keys, axis=1)
+    _check_axes(prev, schema)
+    return result.set_axis(_key_columns(schema), axis=1)
 
 
 def intervals_to_cells(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
     """Expand an interval result into its distinct cells, sorted (for
     display and the oracle); int64 columns ``cols``, empty if ``df`` is.
 
-    The rows expand with ``ranges.cartesian`` (the Cartesian product of
-    each row's intervals, as in ``provrc.decompress``); duplicates go by
-    hash (``drop_duplicates``) before one ``np.lexsort``.
+    ``lo``/``hi`` are column slices of one int64 matrix of ``df``'s
+    ``lo``/``hi`` pairs; the rows expand with ``ranges.cartesian`` (the
+    Cartesian product of each row's intervals, as in
+    ``provrc.decompress``); duplicates go by hash (``drop_duplicates``)
+    before one ``np.lexsort``.
     """
-    lo_m = np.column_stack([df[rg.lo(c)].to_numpy(np.int64) for c in cols])
-    hi_m = np.column_stack([df[rg.hi(c)].to_numpy(np.int64) for c in cols])
-    _, cells = rg.cartesian(lo_m, hi_m, cols)
+    m = _matrix(df, [c for a in cols for c in (rg.lo(a), rg.hi(a))])
+    _, cells = rg.cartesian(m[:, 0::2], m[:, 1::2], cols)
     return rg.sort_rows(pd.DataFrame(cells, columns=cols).drop_duplicates(), cols)

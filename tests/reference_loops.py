@@ -5,8 +5,10 @@ These are the straightforward Python loops that ``provrc._scan_key_pass``,
 whole-column numpy, the cross-product θ-join that
 ``theta_join._range_join`` replaces with a sort-based interval join, and
 the pandas gaps-and-islands step 1 that ``provrc._encode_values`` and
-``provrc.encode_query`` replace with ``ranges.union_sweep``. Tests compare
-the two on random inputs; nothing in ``src/`` imports this module.
+``provrc.encode_query`` replace with ``ranges.union_sweep``, and the
+per-step frame driver that ``theta_join.chain_query`` replaces with one
+int64 matrix carried from step to step. Tests compare the two on random
+inputs; nothing in ``src/`` imports this module.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from repro.core.provrc import (
     interval_columns,
     value_columns,
 )
+from repro.insitu.theta_join import as_next_query, merge_intervals, theta_join
 
 
 def to_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
@@ -247,3 +250,22 @@ def theta_join_cross(
         absolute_values(vals, keys[:, 0::2], keys[:, 1::2]), columns=value_columns(schema)
     )
     return merge_intervals_loop(t, list(schema.val_cols)) if merge else t
+
+
+def chain_query_stepwise(
+    qdf: pd.DataFrame,
+    tables: list[tuple[pd.DataFrame, LineageSchema]],
+    *,
+    merge: bool = True,
+) -> pd.DataFrame:
+    """A chained query with one frame per step: ``theta_join``, then
+    ``merge_intervals``, then ``as_next_query`` to relabel the result as
+    the next table's keys."""
+    cur = qdf
+    for step, (cdf, schema) in enumerate(tables):
+        if step > 0:
+            cur = as_next_query(cur, tables[step - 1][1], schema)
+        cur = theta_join(cur, cdf, schema, merge=False)
+        if merge:
+            cur = merge_intervals(cur, list(schema.val_cols))
+    return cur

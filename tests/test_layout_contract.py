@@ -1,10 +1,14 @@
-"""One finalized layout: the kernel, the file format and Spark all return
-``interval_columns(schema)``, in that order, as int64, with equal rows.
+"""One finalized layout: the kernel, the file format, Spark and the
+Parquet store all return ``interval_columns(schema)``, in that order, as
+int64, with equal rows.
 """
+from pyspark.sql.types import LongType
+
 from repro.capture import patterns as pt
 from repro.core import provrc, storage
 from repro.core.model import backward_schema
 from repro.core.spark_provrc import collect_compressed, compress_spark, interval_columns
+from repro.insitu import store
 
 
 def _rows(cdf):
@@ -24,7 +28,7 @@ def test_kernel_file_and_spark_share_one_layout(spark, tmp_path):
     storage.write(kernel, schema, tmp_path / "t.prc.gz", gzipped=True)
     stored, stored_schema = storage.read(tmp_path / "t.prc.gz")
     assert stored_schema == schema
-    for n in (1, 4, 8):
+    for n in (1, 4, 8, None):  # None: the session's defaultParallelism
         sdf = compress_spark(spark.createDataFrame(rel), schema, n_buckets=n)
         assert all(not f.nullable for f in sdf.schema.fields)
         # Spark runs the kernel's own passes: the same rows in the same order.
@@ -35,3 +39,14 @@ def test_kernel_file_and_spark_share_one_layout(spark, tmp_path):
     # Both representations occur, so the rep columns are exercised.
     assert set(kernel["a0_rep"]) == {0, 1}
     assert _rows(stored) == _rows(kernel)
+
+    # The store writes the layout whatever the column order, integer
+    # width or extra columns of the frame it is given.
+    given = kernel[cols[::-1]].astype("int32").assign(extra=0)
+    store.write_store(spark.createDataFrame(given), schema, tmp_path / "st")
+    written = spark.read.parquet(str(tmp_path / "st" / "data"))
+    assert written.columns == cols
+    assert all(f.dataType == LongType() for f in written.schema.fields)
+    parquet, parquet_schema = store.open_store(spark, tmp_path / "st")
+    assert parquet_schema == schema and parquet.columns == cols
+    assert _rows(parquet.toPandas()) == _rows(kernel)

@@ -11,7 +11,11 @@
   and for the whole pass, and step 1 and the query encoding give the same
   rows as the former pandas passes kept there;
 - ``compress`` is separable on primary-key ranges: ``chunk`` per range,
-  concatenated, then ``stitch`` equals ``compress`` row for row.
+  concatenated, then ``stitch`` equals ``compress`` row for row;
+- repeated rows compress to the table of the distinct ones.
+
+Each schema shape also has a dense strategy (few distinct values per
+axis), so that rows meet and merge in most examples.
 """
 import numpy as np
 import pandas as pd
@@ -71,6 +75,18 @@ relation_dense_1x2 = st.lists(
     max_size=30,
 ).map(lambda rows: pd.DataFrame(rows, columns=["b0", "a0", "a1"]))
 
+relation_dense_2x1 = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2)),
+    min_size=1,
+    max_size=30,
+).map(lambda rows: pd.DataFrame(rows, columns=["b0", "b1", "a0"]))
+
+relation_dense_2x2 = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    min_size=1,
+    max_size=40,
+).map(lambda rows: pd.DataFrame(rows, columns=["b0", "b1", "a0", "a1"]))
+
 
 def _schema_of(rel: pd.DataFrame, forward: bool):
     n_b = sum(c.startswith("b") for c in rel.columns)
@@ -95,32 +111,42 @@ def test_roundtrip_1x1(rel):
     pd.testing.assert_frame_equal(_canon(back), _canon(rel), check_dtype=False)
 
 
-@settings(max_examples=40, deadline=None)
-@given(relation_1x2)
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(relation_1x2, relation_dense_1x2))
 def test_roundtrip_1x2(rel):
     schema = backward_schema(1, 2)
     back = provrc.decompress(provrc.compress(rel, schema), schema)
     pd.testing.assert_frame_equal(_canon(back), _canon(rel), check_dtype=False)
 
 
-@settings(max_examples=40, deadline=None)
-@given(relation_2x1)
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(relation_2x1, relation_dense_2x1))
 def test_roundtrip_2x1(rel):
     schema = backward_schema(2, 1)
     back = provrc.decompress(provrc.compress(rel, schema), schema)
     pd.testing.assert_frame_equal(_canon(back), _canon(rel), check_dtype=False)
 
 
-@settings(max_examples=40, deadline=None)
-@given(relation_2x2)
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(relation_2x2, relation_dense_2x2))
 def test_roundtrip_2x2(rel):
     schema = backward_schema(2, 2)
     back = provrc.decompress(provrc.compress(rel, schema), schema)
     pd.testing.assert_frame_equal(_canon(back), _canon(rel), check_dtype=False)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(relation_1x2, relation_2x1, relation_2x2), st.booleans())
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        relation_1x2,
+        relation_2x1,
+        relation_2x2,
+        relation_dense_1x2,
+        relation_dense_2x1,
+        relation_dense_2x2,
+    ),
+    st.booleans(),
+)
 def test_scan_matches_loop_reference(rel, forward):
     """Every ordering's scan, and each whole key pass, on the candidate
     forms ``compress`` feeds them (later passes see NaN candidates)."""
@@ -163,6 +189,30 @@ def test_step1_matches_reference(rel, forward):
     got = provrc.encode_query(rel, cols)
     want = range_encode(rel, cols, cols).astype("int64")
     pd.testing.assert_frame_equal(rows(got), rows(want), check_exact=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        relation_1x1,
+        relation_1x2,
+        relation_2x1,
+        relation_2x2,
+        relation_dense_1x2,
+        relation_dense_2x1,
+        relation_dense_2x2,
+    ),
+    st.booleans(),
+)
+def test_repeated_rows_compress_like_distinct_ones(rel, forward):
+    """Every row repeated, the repeats out of order: the same table as
+    the relation without duplicates (step 1 merges identical rows)."""
+    schema = _schema_of(rel, forward)
+    distinct = rel.drop_duplicates().reset_index(drop=True)
+    repeated = pd.concat([rel, rel.iloc[::-1]], ignore_index=True)
+    pd.testing.assert_frame_equal(
+        provrc.compress(repeated, schema), provrc.compress(distinct, schema), check_exact=True
+    )
 
 
 def test_empty_relation_roundtrip():

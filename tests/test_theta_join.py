@@ -9,7 +9,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.capture import numpy_ops as nops
 from repro.core import provrc
@@ -22,7 +22,7 @@ from repro.insitu.theta_join import (
     intervals_to_cells,
     theta_join,
 )
-from tests.reference_loops import theta_join_cross
+from tests.reference_loops import chain_query_stepwise, theta_join_cross
 
 MiB = 1 << 20
 
@@ -205,16 +205,13 @@ key_interval = st.one_of(
 )
 
 
-@st.composite
-def join_inputs(draw):
-    """A random finalized table (any rep codes and deltas) and query."""
-    n_key, n_val = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    schema = backward_schema(n_key, n_val)
-    keys = st.lists(key_interval, min_size=n_key, max_size=n_key)
+def _draw_table(draw, schema) -> pd.DataFrame:
+    """A random finalized table over ``schema`` (any rep codes and deltas)."""
+    keys = st.lists(key_interval, min_size=schema.n_key, max_size=schema.n_key)
     vals = st.lists(
-        st.tuples(st.integers(0, n_key), st.integers(-5, 5), st.integers(0, 3)),
-        min_size=n_val,
-        max_size=n_val,
+        st.tuples(st.integers(0, schema.n_key), st.integers(-5, 5), st.integers(0, 3)),
+        min_size=schema.n_val,
+        max_size=schema.n_val,
     )
     table = {c: [] for c in interval_columns(schema)}
     for key_ivs, val_ivs in draw(st.lists(st.tuples(keys, vals), max_size=25)):
@@ -225,12 +222,39 @@ def join_inputs(draw):
             table[rep(v)].append(code)
             table[lo(v)].append(d)
             table[hi(v)].append(d + w)
+    return pd.DataFrame(table, dtype="int64")
+
+
+def _draw_query(draw, schema, intervals=key_interval) -> pd.DataFrame:
+    """A random query over ``schema``'s keys."""
+    keys = st.lists(intervals, min_size=schema.n_key, max_size=schema.n_key)
     query = {c: [] for k in schema.key_cols for c in (lo(k), hi(k))}
     for key_ivs in draw(st.lists(keys, max_size=12)):
         for k, (k_lo, k_hi) in zip(schema.key_cols, key_ivs):
             query[lo(k)].append(k_lo)
             query[hi(k)].append(k_hi)
-    return pd.DataFrame(query, dtype="int64"), pd.DataFrame(table, dtype="int64"), schema
+    return pd.DataFrame(query, dtype="int64")
+
+
+@st.composite
+def join_inputs(draw):
+    """A random finalized table (any rep codes and deltas) and query."""
+    schema = backward_schema(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    cdf = _draw_table(draw, schema)
+    return _draw_query(draw, schema), cdf, schema
+
+
+@st.composite
+def chain_inputs(draw):
+    """A query and a path of 1-3 random tables, each with 1-2 key and
+    value attributes, the value attributes of one step as many as the key
+    attributes of the next. Query rows may lie outside every key, and
+    intermediate results are often empty."""
+    axes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=4))
+    schemas = [backward_schema(a, b) for a, b in zip(axes, axes[1:])]
+    far = st.one_of(key_interval, st.just((500, 502)))
+    tables = [(_draw_table(draw, s), s) for s in schemas]
+    return _draw_query(draw, schemas[0], far), tables
 
 
 @settings(max_examples=120, deadline=None)
@@ -252,6 +276,76 @@ def test_matches_cross_product_reference(case, budget):
                     )
     finally:
         tj.PAIR_BUDGET = default
+
+
+def _frame(**cols) -> pd.DataFrame:
+    return pd.DataFrame(cols, dtype="int64")
+
+
+# Two query rows whose first-step results overlap: merged, they reach the
+# second table as one row, and the second step's rows (and so the merged
+# answer) differ from those of the two rows apart.
+MERGE_BETWEEN_STEPS = (
+    _frame(b0_lo=[0, 0], b0_hi=[1, 40]),
+    [
+        (
+            _frame(b0_lo=[0], b0_hi=[40], a0_rep=[1], a0_lo=[0], a0_hi=[0],
+                   a1_rep=[0], a1_lo=[0], a1_hi=[0]),
+            backward_schema(1, 2),
+        ),
+        (
+            _frame(b0_lo=[0, 0], b0_hi=[0, 40], b1_lo=[0, 0], b1_hi=[0, 40],
+                   a0_rep=[0, 1], a0_lo=[0, 0], a0_hi=[0, 0],
+                   a1_rep=[0, 1], a1_lo=[0, 0], a1_hi=[0, 0]),
+            backward_schema(2, 2),
+        ),
+    ],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_inputs())
+@example(MERGE_BETWEEN_STEPS)
+def test_chain_query_matches_stepwise_reference(case):
+    """The matrix chain returns the per-step frame driver's frame (rows,
+    order, columns, dtypes, index), merged or not, for the query and for
+    an empty one. The explicit example only matches if every step's
+    result is merged before the next step."""
+    qdf, tables = case
+    for q in (qdf, qdf.iloc[:0]):
+        for merge in (True, False):
+            got = chain_query(q, tables, merge=merge)
+            want = chain_query_stepwise(q, tables, merge=merge)
+            pd.testing.assert_frame_equal(got, want)
+            assert got.equals(want)
+
+
+def test_chain_axis_count_mismatch_raises():
+    """A step whose value attributes are not as many as the next table's
+    key attributes is refused, by the chain and by ``as_next_query``."""
+    s1, s2 = backward_schema(1, 2), backward_schema(1, 1)
+    c1 = provrc.compress(sum_axis1_lineage(), s1)
+    c2 = provrc.compress(pd.DataFrame({"b0": [0, 1], "a0": [0, 1]}), s2)
+    q = provrc.encode_query(pd.DataFrame({"b0": [0]}), ["b0"])
+    with pytest.raises(ValueError, match=r"path axis count mismatch \(2 vs 1\)"):
+        chain_query(q, [(c1, s1), (c2, s2)])
+    with pytest.raises(ValueError, match=r"path axis count mismatch \(2 vs 1\)"):
+        tj.as_next_query(theta_join(q, c1, s1), s1, s2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(join_inputs(), st.randoms(use_true_random=False))
+def test_columns_are_read_by_name(case, rnd):
+    """A table or query whose columns come in another order, or with an
+    extra column, gives the same result: columns are read by name."""
+    qdf, cdf, schema = case
+    want = theta_join(qdf, cdf, schema)
+    cols = list(cdf.columns)
+    rnd.shuffle(cols)
+    shuffled = cdf[cols].assign(extra=1)
+    q_cols = list(qdf.columns)[::-1]
+    pd.testing.assert_frame_equal(theta_join(qdf[q_cols], shuffled, schema), want)
+    pd.testing.assert_frame_equal(chain_query(qdf[q_cols], [(shuffled, schema)]), want)
 
 
 def _traced_peak(fn):
