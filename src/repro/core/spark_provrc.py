@@ -80,7 +80,8 @@ def compress_spark(
     cand = StructType(
         [StructField(c, DoubleType()) for c in _candidate_columns(schema)]
     )
-    n_buckets = n_buckets or df.sparkSession.sparkContext.defaultParallelism
+    if n_buckets is None:
+        n_buckets = df.sparkSession.sparkContext.defaultParallelism
     work = (
         df.repartition(n_buckets, schema.key_cols[0])
         .mapInPandas(partial(_chunk, schema), cand)

@@ -14,7 +14,7 @@ primary key attribute's lower bound, so a query step's hull predicate
 
 Schema metadata (direction, axis counts) travels in a sidecar JSON. The
 stored columns are always ``provrc.interval_columns(schema)`` as longs
-(``write_store`` selects and casts them), so ``open_store`` hands that
+(``write_store`` refuses any other frame), so ``open_store`` hands that
 schema to the reader instead of having Spark infer it from the Parquet
 footers, which costs one Spark job per open.
 """
@@ -37,17 +37,22 @@ def _longs(schema: LineageSchema) -> StructType:
 
 
 def write_store(cdf: DataFrame, schema: LineageSchema, path: str | Path) -> None:
-    """Persist a finalized table: its ``interval_columns(schema)``, cast to
-    longs, range-partitioned and sorted on the primary key's ``lo``."""
+    """Persist a finalized table, range-partitioned and sorted on the
+    primary key's ``lo``.
+
+    ``cdf`` must have exactly ``interval_columns(schema)``, in that order,
+    as longs (any nullability), which is what ``compress_spark`` returns;
+    any other frame raises ``ValueError``, so every store holds the schema
+    ``open_store`` declares.
+    """
     path = Path(path)
+    given = [(f.name, f.dataType) for f in cdf.schema]
+    if given != [(f.name, f.dataType) for f in _longs(schema)]:
+        raise ValueError(
+            f"write_store needs interval_columns(schema) as longs, in order; got {given}"
+        )
     primary = schema.key_cols[0]
     n_parts = max(1, min(16, cdf.rdd.getNumPartitions()))
-    longs = _longs(schema)
-    # A frame that already has exactly these columns and types (any
-    # nullability) is written as it is: the projection would cost a
-    # Python-to-JVM call per column and change nothing stored.
-    if [(f.name, f.dataType) for f in cdf.schema] != [(f.name, f.dataType) for f in longs]:
-        cdf = cdf.select([F.col(c).cast(LongType()) for c in longs.names])
     (
         cdf.repartitionByRange(n_parts, F.col(rg.lo(primary)))
         .sortWithinPartitions(rg.lo(primary))

@@ -2,6 +2,7 @@
 Parquet store all return ``interval_columns(schema)``, in that order, as
 int64, with equal rows.
 """
+import pytest
 from pyspark.sql.types import LongType
 
 from repro.capture import patterns as pt
@@ -40,13 +41,16 @@ def test_kernel_file_and_spark_share_one_layout(spark, tmp_path):
     assert set(kernel["a0_rep"]) == {0, 1}
     assert _rows(stored) == _rows(kernel)
 
-    # The store writes the layout whatever the column order, integer
-    # width or extra columns of the frame it is given.
-    given = kernel[cols[::-1]].astype("int32").assign(extra=0)
-    store.write_store(spark.createDataFrame(given), schema, tmp_path / "st")
+    # The store writes exactly the layout, and refuses a frame with the
+    # columns reordered, another integer width or an extra column.
+    store.write_store(sdf, schema, tmp_path / "st")
     written = spark.read.parquet(str(tmp_path / "st" / "data"))
     assert written.columns == cols
     assert all(f.dataType == LongType() for f in written.schema.fields)
     parquet, parquet_schema = store.open_store(spark, tmp_path / "st")
     assert parquet_schema == schema and parquet.columns == cols
     assert _rows(parquet.toPandas()) == _rows(kernel)
+    for given in (kernel[cols[::-1]], kernel.astype("int32"), kernel.assign(extra=0)):
+        with pytest.raises(ValueError, match="interval_columns"):
+            store.write_store(spark.createDataFrame(given), schema, tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
