@@ -215,6 +215,16 @@ def value_columns(schema: LineageSchema) -> list[str]:
     return [c for v in schema.val_cols for c in (rg.lo(v), rg.hi(v))]
 
 
+def candidate_columns(schema: LineageSchema) -> list[str]:
+    """Columns of the candidate form (``chunk``'s output, ``stitch``'s
+    input): ``lo``/``hi`` per key and value attribute, then per
+    ``value - key`` delta."""
+    attrs = list(schema.key_cols + schema.val_cols) + [
+        rg.delta(v, k) for v in schema.val_cols for k in schema.key_cols
+    ]
+    return [c for a in attrs for c in (rg.lo(a), rg.hi(a))]
+
+
 def _encode_values(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     """Step 1 (value range encoding) plus the relative value transformation.
 
@@ -234,11 +244,10 @@ def _encode_values(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
         for i in range(schema.n_val)
         for j in range(n_key)
     ]
-    attrs = cols + [rg.delta(v, k) for v in schema.val_cols for k in schema.key_cols]
     # Column-major, so that every column step 2 sorts on is contiguous.
     return pd.DataFrame(
         np.hstack([m, *deltas]).astype(np.float64, order="F"),
-        columns=[c for a in attrs for c in (rg.lo(a), rg.hi(a))],
+        columns=candidate_columns(schema),
     )
 
 

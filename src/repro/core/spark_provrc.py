@@ -18,11 +18,11 @@ only the primary-key pass merges across key values, and ``stitch`` runs
 it once over all of them and sorts its input. So after one exchange the
 result equals ``provrc.compress`` row for row, in the same order.
 
-Candidate rows travel in the kernel's private candidate form (doubles,
-NaN = absent representation). The driver collects all of them, so what
-``chunk`` leaves must fit in its memory: few rows for structured
-lineage, nearly the whole relation for incompressible lineage such as
-Sort. The result is the finalized layout shared with the kernel and the
+Candidate rows travel in the kernel's candidate form
+(``provrc.candidate_columns``, doubles, NaN = absent representation).
+The driver collects all of them, so what ``chunk`` leaves must fit in
+its memory: few rows for structured lineage, nearly the whole relation
+for incompressible lineage such as Sort. The result is the finalized layout shared with the kernel and the
 file format, ``interval_columns(schema)`` as non-nullable longs,
 collectable into the pandas kernel's table or persisted via
 ``insitu.store``.
@@ -37,17 +37,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core import provrc
-from repro.core import ranges as rg
 from repro.core.model import LineageSchema
 from repro.core.provrc import interval_columns
-
-
-def _candidate_columns(schema: LineageSchema) -> list[str]:
-    """Columns of the candidate form ``chunk`` hands to ``stitch``."""
-    attrs = list(schema.key_cols + schema.val_cols) + [
-        rg.delta(v, k) for v in schema.val_cols for k in schema.key_cols
-    ]
-    return [c for a in attrs for c in (rg.lo(a), rg.hi(a))]
 
 
 def _chunk(
@@ -78,7 +69,7 @@ def compress_spark(
     rows in the same order as ``provrc.compress``.
     """
     cand = StructType(
-        [StructField(c, DoubleType()) for c in _candidate_columns(schema)]
+        [StructField(c, DoubleType()) for c in provrc.candidate_columns(schema)]
     )
     if n_buckets is None:
         n_buckets = df.sparkSession.sparkContext.defaultParallelism

@@ -45,9 +45,9 @@ class _Edge:
 class DSLog:
     """In-memory DSLog instance (kernel execution path).
 
-    The facade never calls Spark. ``core.spark_provrc`` and
-    ``insitu.spark_query`` run the same kernels per partition in Spark
-    executors; choosing one by table size is an open ROADMAP item.
+    The facade is kernel-only: it never calls Spark. ``core.spark_provrc``
+    and ``insitu.spark_query`` run the same kernels per partition in Spark
+    executors, for callers that hold their tables in Spark.
     """
 
     def __init__(self, *, reuse_m: int = 1):

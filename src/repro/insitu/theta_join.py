@@ -2,9 +2,7 @@
 
 A query is a table of intervals over the key attributes of a compressed
 table (the paper's Q', produced by ``provrc.encode_query``). One θ-join,
-``join_step``, works on int64 matrices from end to end; ``theta_join``
-reads a query frame and a table frame into one matrix each and wraps the
-result:
+``theta_join``, takes and returns int64 matrices:
 
 1. **Range join** — an interval join on the primary key (the first key
    attribute): the table is sorted by its ``lo``, each query row's
@@ -24,18 +22,18 @@ result:
    paper's separate ``rel_for`` is not needed).
 3. **Project + merge** — keep only the next array's attributes and merge
    overlapping/adjacent intervals per group (the paper's row-reduction
-   optimization; skipping it gives the DSLog-NoMerge baseline). The merge
-   is ``ranges.union_sweep``, the range encoding ProvRC step 1 and the
-   query encoding also run.
+   optimization; skipping it gives the DSLog-NoMerge baseline). The merge,
+   ``merge_intervals``, is ``ranges.union_sweep``, the range encoding
+   ProvRC step 1 and the query encoding also run.
 
-Chained queries (``chain_query``) repeat ``join_step`` along the path and
-pass each step's int64 result on as the next step's query: its value
-attributes are the next table's key attributes, positionally (the arrays
-are the same, only the role flips from "output of op k" to "input of op
-k+1"), so no frame is built and nothing is renamed between steps. Spark
-(``spark_query``) runs ``theta_join`` per partition and
-``merge_intervals`` plus ``as_next_query`` on the driver: the same
-functions, with a frame per step.
+Chained queries (``chain_query``) start from ``query_matrix`` and repeat
+``theta_join`` along the path, passing each step's int64 result on as
+the next step's query: its value attributes are the next table's key
+attributes, positionally (the arrays are the same, only the role flips
+from "output of op k" to "input of op k+1"), so no frame is built and
+nothing is renamed between steps. Spark (``spark_query``) runs the same
+three functions on the same matrices: ``theta_join`` per partition and
+``merge_intervals`` on the driver.
 """
 from __future__ import annotations
 
@@ -97,24 +95,29 @@ def _range_join(q: np.ndarray, table: np.ndarray, n_key: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _merge(m: np.ndarray) -> np.ndarray:
+def merge_intervals(m: np.ndarray) -> np.ndarray:
     """Row-reduction of a θ-join result matrix (``value_columns`` order):
-    one ``ranges.union_sweep`` over every attribute, first to last."""
+    one ``ranges.union_sweep`` over every attribute, first to last, each
+    grouped by the others.
+
+    Every sweep sorts by all columns, so identical rows meet in one run
+    and the first sweep also drops duplicates.
+    """
     return rg.union_sweep(m, list(range(m.shape[1] // 2)))
 
 
-def join_step(q: np.ndarray, table: np.ndarray, n_key: int, *, merge: bool = True) -> np.ndarray:
+def theta_join(q: np.ndarray, table: np.ndarray, n_key: int, *, merge: bool = True) -> np.ndarray:
     """One θ-join on int64 matrices: the range join, de-relativization and,
-    with ``merge``, the row-reduction.
+    with ``merge``, the row-reduction (``merge_intervals``).
 
     ``q`` holds the query's key ``lo``/``hi`` pairs, ``table`` the
     compressed table in ``interval_columns`` order, with ``n_key`` key
     attributes. Returns the absolute value intervals in
     ``value_columns`` order, which is also the layout of the next step's
-    query. ``theta_join`` wraps it for frames; ``chain_query`` chains it.
+    query; empty (with those columns) when nothing overlaps.
     """
     out = _range_join(q, table, n_key)
-    return _merge(out) if merge else out
+    return merge_intervals(out) if merge else out
 
 
 def _matrix(df: pd.DataFrame, cols: list[str]) -> np.ndarray:
@@ -131,45 +134,20 @@ def _matrix(df: pd.DataFrame, cols: list[str]) -> np.ndarray:
     return df.to_numpy(np.int64)
 
 
-def _key_columns(schema: LineageSchema) -> list[str]:
-    """Key ``lo``/``hi`` pairs: the columns of a query over ``schema``."""
-    return interval_columns(schema)[: 2 * schema.n_key]
+def query_matrix(qdf: pd.DataFrame, schemas: list[LineageSchema]) -> np.ndarray:
+    """The int64 matrix a query along a path of tables over ``schemas``
+    starts from: ``qdf``'s key ``lo``/``hi`` pairs of the first table.
 
-
-def merge_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
-    """Row-reduction: one ``ranges.union_sweep`` over every attribute,
-    first to last, each grouped by the others.
-
-    ``df``'s columns are the ``lo``/``hi`` pairs of ``cols``, in that
-    order (``value_columns``). Every sweep sorts by all of them, so
-    identical rows meet in one run and the first sweep also drops
-    duplicates. ``join_step`` runs the same merge on its matrix.
+    Refuses a path in which a table's value attributes are not as many
+    as the next table's key attributes, before any step runs: each
+    step's result becomes the next step's query positionally.
     """
-    return pd.DataFrame(_merge(df.to_numpy(np.int64)), columns=df.columns)
-
-
-def theta_join(
-    qdf: pd.DataFrame,
-    cdf: pd.DataFrame,
-    schema: LineageSchema,
-    *,
-    merge: bool = True,
-) -> pd.DataFrame:
-    """One θ-join: returns absolute int64 intervals over ``schema.val_cols``.
-
-    ``join_step`` on the query's key columns and the table's
-    ``interval_columns``, each read by name as one int64 matrix, so a
-    table or query with its columns in another order, or with extra
-    columns, gives the same result. Empty when nothing overlaps (an empty query, an empty table
-    or a query outside the table's keys), with the same int64 columns.
-    """
-    out = join_step(
-        _matrix(qdf, _key_columns(schema)),
-        _matrix(cdf, interval_columns(schema)),
-        schema.n_key,
-        merge=merge,
-    )
-    return pd.DataFrame(out, columns=value_columns(schema))
+    for prev, schema in zip(schemas, schemas[1:]):
+        if len(prev.val_cols) != len(schema.key_cols):
+            raise ValueError(
+                f"path axis count mismatch ({len(prev.val_cols)} vs {len(schema.key_cols)})"
+            )
+    return _matrix(qdf, interval_columns(schemas[0])[: 2 * schemas[0].n_key])
 
 
 def chain_query(
@@ -180,39 +158,19 @@ def chain_query(
 ) -> pd.DataFrame:
     """Process a query along a path of compressed tables (left to right).
 
-    ``qdf`` holds intervals over the first table's key attributes. Every
-    step is ``join_step`` on int64 matrices, and its result is the next
-    step's query as it stands: its value attributes are, positionally,
-    the next table's key attributes (checked up front, as in
-    ``as_next_query``), so nothing is renamed or rebuilt between steps.
-    Returns absolute intervals over the last table's value attributes,
-    the only frame built.
+    ``qdf`` holds intervals over the first table's key attributes (read
+    by name, like each table's ``interval_columns``). Every step is
+    ``theta_join`` on int64 matrices, and its result is the next step's
+    query as it stands: its value attributes are, positionally, the next
+    table's key attributes (checked up front by ``query_matrix``), so
+    nothing is renamed or rebuilt between steps. Returns absolute
+    intervals over the last table's value attributes, the only frame
+    built; empty, with those int64 columns, when nothing overlaps.
     """
-    for (_, prev), (_, schema) in zip(tables, tables[1:]):
-        _check_axes(prev, schema)
-    q = _matrix(qdf, _key_columns(tables[0][1]))
+    q = query_matrix(qdf, [schema for _, schema in tables])
     for cdf, schema in tables:
-        q = join_step(q, _matrix(cdf, interval_columns(schema)), schema.n_key, merge=merge)
+        q = theta_join(q, _matrix(cdf, interval_columns(schema)), schema.n_key, merge=merge)
     return pd.DataFrame(q, columns=value_columns(tables[-1][1]))
-
-
-def _check_axes(prev: LineageSchema, schema: LineageSchema) -> None:
-    """A path step's value attributes must be as many as the next table's
-    key attributes."""
-    if len(prev.val_cols) != len(schema.key_cols):
-        raise ValueError(
-            f"path axis count mismatch ({len(prev.val_cols)} vs {len(schema.key_cols)})"
-        )
-
-
-def as_next_query(
-    result: pd.DataFrame, prev: LineageSchema, schema: LineageSchema
-) -> pd.DataFrame:
-    """Relabel a step's result (``value_columns(prev)``, in that order, as
-    ``theta_join`` and ``merge_intervals`` return it) positionally as the
-    key attributes of the next table, ``schema.key_cols``."""
-    _check_axes(prev, schema)
-    return result.set_axis(_key_columns(schema), axis=1)
 
 
 def intervals_to_cells(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:

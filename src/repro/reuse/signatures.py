@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
+from repro.capture.tracked import relations_equal
 from repro.core import provrc
 from repro.core import ranges as rg
 from repro.core.model import LineageSchema, backward_schema_of
@@ -89,15 +90,6 @@ def instantiate(gen: GeneralizedTable, in_shapes: Shapes) -> pd.DataFrame:
     for pos, a, di in gen.marks:
         out.loc[pos, rg.hi(a)] = dims[di] - 1
     return out
-
-
-def _relations_equal(x: pd.DataFrame, y: pd.DataFrame) -> bool:
-    if set(x.columns) != set(y.columns):
-        return False
-    cols = sorted(x.columns)
-    cx = x[cols].drop_duplicates().sort_values(cols).reset_index(drop=True)
-    cy = y[cols].drop_duplicates().sort_values(cols).reset_index(drop=True)
-    return cx.astype("int64").equals(cy.astype("int64"))
 
 
 @dataclass
@@ -175,7 +167,7 @@ class ReuseIndex:
         if st.status == "blocked":
             return "blocked", False, False
         match = len(st.stored) == len(relations) and all(
-            _relations_equal(a, b) for a, b in zip(st.stored, relations)
+            relations_equal(a, b) for a, b in zip(st.stored, relations)
         )
         if st.status == "permanent":
             return ("permanent", True, not match)
@@ -223,6 +215,6 @@ class ReuseIndex:
                 predicted = provrc.decompress(instantiate(gen, shapes), gen.schema)
             except (ValueError, KeyError):
                 return False
-            if not _relations_equal(predicted, rel):
+            if not relations_equal(predicted, rel):
                 return False
         return True

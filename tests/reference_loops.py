@@ -5,10 +5,11 @@ These are the straightforward Python loops that ``provrc._scan_key_pass``,
 whole-column numpy, the cross-product θ-join that
 ``theta_join._range_join`` replaces with a sort-based interval join, and
 the pandas gaps-and-islands step 1 that ``provrc._encode_values`` and
-``provrc.encode_query`` replace with ``ranges.union_sweep``, and the
-per-step frame driver that ``theta_join.chain_query`` replaces with one
-int64 matrix carried from step to step. Tests compare the two on random
-inputs; nothing in ``src/`` imports this module.
+``provrc.encode_query`` replace with ``ranges.union_sweep``, and a
+per-step frame driver (one-table ``chain_query`` calls, relabelled
+between steps) for the multi-table ``theta_join.chain_query``, which
+carries one int64 matrix from step to step. Tests compare the two on
+random inputs; nothing in ``src/`` imports this module.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from repro.core.provrc import (
     interval_columns,
     value_columns,
 )
-from repro.insitu.theta_join import as_next_query, merge_intervals, theta_join
+from repro.insitu.theta_join import chain_query, merge_intervals
 
 
 def to_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
@@ -258,14 +259,15 @@ def chain_query_stepwise(
     *,
     merge: bool = True,
 ) -> pd.DataFrame:
-    """A chained query with one frame per step: ``theta_join``, then
-    ``merge_intervals``, then ``as_next_query`` to relabel the result as
-    the next table's keys."""
+    """A chained query with one frame per step: a one-table ``chain_query``
+    without the merge, then ``merge_intervals`` on its matrix, then a
+    positional ``set_axis`` to relabel the result as the next table's
+    keys."""
     cur = qdf
     for step, (cdf, schema) in enumerate(tables):
         if step > 0:
-            cur = as_next_query(cur, tables[step - 1][1], schema)
-        cur = theta_join(cur, cdf, schema, merge=False)
+            cur = cur.set_axis(interval_columns(schema)[: 2 * schema.n_key], axis=1)
+        cur = chain_query(cur, [(cdf, schema)], merge=False)
         if merge:
-            cur = merge_intervals(cur, list(schema.val_cols))
+            cur = pd.DataFrame(merge_intervals(cur.to_numpy(np.int64)), columns=cur.columns)
     return cur

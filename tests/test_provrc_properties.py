@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core import provrc
 from repro.core import ranges as rg
 from repro.core.model import backward_schema, forward_schema
-from repro.insitu.theta_join import intervals_to_cells, theta_join
+from repro.insitu.theta_join import chain_query, intervals_to_cells
 from tests.reference_loops import (
     encode_key_pass_all_orderings,
     encode_values_reference,
@@ -253,7 +253,7 @@ def test_query_exact_on_1x1(rel, q_keys):
     cdf = provrc.compress(rel, schema)
     q_cells = pd.DataFrame({"b0": sorted(q_keys)})
     q = provrc.encode_query(q_cells, ["b0"])
-    got = intervals_to_cells(theta_join(q, cdf, schema), ["a0"])
+    got = intervals_to_cells(chain_query(q, [(cdf, schema)]), ["a0"])
     want = (
         rel[rel["b0"].isin(q_keys)][["a0"]]
         .drop_duplicates()
@@ -270,7 +270,7 @@ def test_query_superset_always_holds(rel, q_keys):
     cdf = provrc.compress(rel, schema)
     q_cells = pd.DataFrame({"b0": sorted(q_keys)})
     q = provrc.encode_query(q_cells, ["b0"])
-    got = intervals_to_cells(theta_join(q, cdf, schema), ["a0", "a1"])
+    got = intervals_to_cells(chain_query(q, [(cdf, schema)]), ["a0", "a1"])
     want = rel[rel["b0"].isin(q_keys)][["a0", "a1"]].drop_duplicates()
     merged = want.merge(got, how="left", indicator=True)
     assert (merged["_merge"] == "both").all()

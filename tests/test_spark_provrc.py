@@ -12,7 +12,7 @@ from repro.capture import patterns as pt
 from repro.core import provrc
 from repro.core.model import backward_schema
 from repro.core.spark_provrc import collect_compressed, compress_spark
-from repro.insitu.theta_join import intervals_to_cells, theta_join
+from repro.insitu.theta_join import chain_query, intervals_to_cells
 from repro.oracle import assert_equivalent
 
 
@@ -73,7 +73,7 @@ def test_query_over_spark_compressed_matches_duckdb(spark):
     cdf = _compress_like_kernel(spark, rel, schema)
     q_cells = pd.DataFrame({"b0": [5, 6, 7, 30]})
     q = provrc.encode_query(q_cells, ["b0"])
-    got_cells = intervals_to_cells(theta_join(q, cdf, schema), ["a0", "a1"])
+    got_cells = intervals_to_cells(chain_query(q, [(cdf, schema)]), ["a0", "a1"])
     got_spark = spark.createDataFrame(got_cells)
     assert_equivalent(
         got_spark,

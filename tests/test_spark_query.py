@@ -93,6 +93,20 @@ class TestSparkThetaJoin:
         plan = _executed_plan(result)
         assert "Exchange" not in plan, plan
 
+    def test_axis_count_mismatch_is_refused_before_any_job(self, spark):
+        """A path whose first table has 2 value attributes and whose next
+        table has 1 key attribute raises before any Spark job runs."""
+        s1, s2 = backward_schema(1, 2), backward_schema(1, 1)
+        c1 = provrc.compress(pt.reduce_axis((4, 2), 1), s1)
+        c2 = provrc.compress(pd.DataFrame({"b0": [0, 1], "a0": [0, 1]}), s2)
+        tables = [(spark.createDataFrame(c1), s1), (spark.createDataFrame(c2), s2)]
+        q = provrc.encode_query(pd.DataFrame({"b0": [0]}), ["b0"])
+        tracker = spark.sparkContext.statusTracker()
+        before = set(tracker.getJobIdsForGroup())
+        with pytest.raises(ValueError, match=r"path axis count mismatch \(2 vs 1\)"):
+            chain_query_spark(spark, q, tables)
+        assert set(tracker.getJobIdsForGroup()) == before
+
     def test_forward_chain_matches_duckdb(self, spark):
         """3-op forward pipeline, Spark in-situ vs DuckDB joins on raw."""
         n = 64

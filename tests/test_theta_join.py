@@ -17,11 +17,7 @@ from repro.core.model import backward_schema, forward_schema
 from repro.core.provrc import interval_columns
 from repro.core.ranges import hi, lo, rep
 from repro.insitu import theta_join as tj
-from repro.insitu.theta_join import (
-    chain_query,
-    intervals_to_cells,
-    theta_join,
-)
+from repro.insitu.theta_join import chain_query, intervals_to_cells
 from tests.reference_loops import chain_query_stepwise, theta_join_cross
 
 MiB = 1 << 20
@@ -49,7 +45,7 @@ class TestPaperExample:
         cdf = provrc.compress(sum_axis1_lineage(), schema)
         q = provrc.encode_query(pd.DataFrame({"b0": [0, 1]}), ["b0"])
         assert len(q) == 1 and (q.iloc[0][lo("b0")], q.iloc[0][hi("b0")]) == (0, 1)
-        t = theta_join(q, cdf, schema)
+        t = chain_query(q, [(cdf, schema)])
         assert len(t) == 1
         r = t.iloc[0]
         # Paper Table VI (1-based): a1=[1,2], a2=[1,2].
@@ -65,7 +61,7 @@ class TestPaperExample:
         cdf = provrc.compress(df, schema)
         assert len(cdf) == 1  # delta [0,1] constant across b=[0,2]
         q = provrc.encode_query(pd.DataFrame({"b0": [0, 1]}), ["b0"])
-        t = theta_join(q, cdf, schema)
+        t = chain_query(q, [(cdf, schema)])
         r = t.iloc[0]
         assert (r[lo("a0")], r[hi("a0")]) == (0, 2)
 
@@ -74,7 +70,7 @@ class TestPaperExample:
         schema = forward_schema(1, 2)
         cdf = provrc.compress(sum_axis1_lineage(), schema)
         q = provrc.encode_query(pd.DataFrame({"a0": [1], "a1": [0]}), ["a0", "a1"])
-        t = theta_join(q, cdf, schema)
+        t = chain_query(q, [(cdf, schema)])
         cells = intervals_to_cells(t, ["b0"])
         assert cells["b0"].tolist() == [1]
 
@@ -98,7 +94,7 @@ class TestRandomEquivalence:
         cdf = provrc.compress(rel, schema)
         q_cells = pd.DataFrame({"b0": g.choice(15, size=4, replace=False)})
         q = provrc.encode_query(q_cells, ["b0"])
-        got = intervals_to_cells(theta_join(q, cdf, schema), ["a0", "a1"])
+        got = intervals_to_cells(chain_query(q, [(cdf, schema)]), ["a0", "a1"])
         want = ground_truth_chain([rel], [["b0"]], [["a0", "a1"]], q_cells)
         merged = want.merge(got, how="left", indicator=True)
         assert (merged["_merge"] == "both").all()
@@ -115,7 +111,7 @@ class TestRandomEquivalence:
         cdf = provrc.compress(rel, schema)
         q_cells = pd.DataFrame({"b0": g.choice(15, size=4, replace=False)})
         q = provrc.encode_query(q_cells, ["b0"])
-        got = intervals_to_cells(theta_join(q, cdf, schema), ["a0"])
+        got = intervals_to_cells(chain_query(q, [(cdf, schema)]), ["a0"])
         want = ground_truth_chain([rel], [["b0"]], [["a0"]], q_cells)
         pd.testing.assert_frame_equal(
             got.reset_index(drop=True), want.reset_index(drop=True), check_dtype=False
@@ -155,8 +151,8 @@ class TestRandomEquivalence:
         schema = backward_schema(1, 1)
         cdf = provrc.compress(rel, schema)
         q = provrc.encode_query(pd.DataFrame({"b0": [2, 3, 4, 11]}), ["b0"])
-        with_merge = intervals_to_cells(theta_join(q, cdf, schema, merge=True), ["a0"])
-        no_merge = intervals_to_cells(theta_join(q, cdf, schema, merge=False), ["a0"])
+        with_merge = intervals_to_cells(chain_query(q, [(cdf, schema)], merge=True), ["a0"])
+        no_merge = intervals_to_cells(chain_query(q, [(cdf, schema)], merge=False), ["a0"])
         pd.testing.assert_frame_equal(with_merge, no_merge, check_dtype=False)
 
     def test_correlated_delta_over_approximates(self):
@@ -165,7 +161,7 @@ class TestRandomEquivalence:
         schema = backward_schema(1, 2)
         cdf = provrc.compress(rel, schema)
         q = provrc.encode_query(pd.DataFrame({"b0": [1, 2]}), ["b0"])
-        got = intervals_to_cells(theta_join(q, cdf, schema), ["a0", "a1"])
+        got = intervals_to_cells(chain_query(q, [(cdf, schema)]), ["a0", "a1"])
         true_cells = pd.DataFrame({"a0": [1, 2], "a1": [1, 2]})
         merged = got.merge(true_cells, how="outer", indicator=True)
         assert (merged["_merge"] != "right_only").all()  # superset holds
@@ -184,10 +180,12 @@ def test_query_intervals_are_int64(case):
     q = provrc.encode_query(pd.DataFrame({"b0": np.array(cells, dtype=np.int64)}), ["b0"])
     if case == "empty_table":
         cdf = cdf.iloc[:0]
-    results = [theta_join(q, cdf, schema, merge=m) for m in (True, False)]
-    results.append(chain_query(q, [(cdf, schema)]))
+    results = [chain_query(q, [(cdf, schema)], merge=m) for m in (True, False)]
     for out in (q, *results):
         assert all(str(t) == "int64" for t in out.dtypes), out.dtypes
+    joined = tj.theta_join(q.to_numpy(), cdf.to_numpy(), schema.n_key, merge=False)
+    for out in (joined, tj.merge_intervals(joined)):
+        assert out.dtype == np.int64 and out.shape[1] == 4
     for out in results:
         assert list(out.columns) == ["a0_lo", "a0_hi", "a1_lo", "a1_hi"]
         assert out.empty == (case != "hit")
@@ -271,7 +269,7 @@ def test_matches_cross_product_reference(case, budget):
             for q, c in ((qdf, cdf), (qdf.iloc[:0], cdf), (qdf, cdf.iloc[:0])):
                 for merge in (True, False):
                     pd.testing.assert_frame_equal(
-                        theta_join(q, c, schema, merge=merge),
+                        chain_query(q, [(c, schema)], merge=merge),
                         theta_join_cross(q, c, schema, merge=merge),
                     )
     finally:
@@ -322,15 +320,13 @@ def test_chain_query_matches_stepwise_reference(case):
 
 def test_chain_axis_count_mismatch_raises():
     """A step whose value attributes are not as many as the next table's
-    key attributes is refused, by the chain and by ``as_next_query``."""
+    key attributes is refused before any step runs."""
     s1, s2 = backward_schema(1, 2), backward_schema(1, 1)
     c1 = provrc.compress(sum_axis1_lineage(), s1)
     c2 = provrc.compress(pd.DataFrame({"b0": [0, 1], "a0": [0, 1]}), s2)
     q = provrc.encode_query(pd.DataFrame({"b0": [0]}), ["b0"])
     with pytest.raises(ValueError, match=r"path axis count mismatch \(2 vs 1\)"):
         chain_query(q, [(c1, s1), (c2, s2)])
-    with pytest.raises(ValueError, match=r"path axis count mismatch \(2 vs 1\)"):
-        tj.as_next_query(theta_join(q, c1, s1), s1, s2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -339,12 +335,11 @@ def test_columns_are_read_by_name(case, rnd):
     """A table or query whose columns come in another order, or with an
     extra column, gives the same result: columns are read by name."""
     qdf, cdf, schema = case
-    want = theta_join(qdf, cdf, schema)
+    want = chain_query(qdf, [(cdf, schema)])
     cols = list(cdf.columns)
     rnd.shuffle(cols)
     shuffled = cdf[cols].assign(extra=1)
     q_cols = list(qdf.columns)[::-1]
-    pd.testing.assert_frame_equal(theta_join(qdf[q_cols], shuffled, schema), want)
     pd.testing.assert_frame_equal(chain_query(qdf[q_cols], [(shuffled, schema)]), want)
 
 
@@ -374,7 +369,7 @@ def test_wide_row_does_not_bring_back_the_cross_product():
     )
     at = np.sort(np.random.default_rng(0).choice(n, 2_000, replace=False))
     q = pd.DataFrame({"b0_lo": at, "b0_hi": at})
-    out, peak = _traced_peak(lambda: theta_join(q, cdf, schema, merge=False))
+    out, peak = _traced_peak(lambda: chain_query(q, [(cdf, schema)], merge=False))
     # Each query row meets the wide row (a0 = -1) and its own cell (a0 = b0).
     want = np.column_stack([np.full(len(at), -1), at]).ravel()
     assert (out["a0_lo"].to_numpy() == want).all() and (out["a0_hi"].to_numpy() == want).all()

@@ -8,7 +8,7 @@ from repro import synth_data
 from repro.capture.relational import groupby_lineage, inner_join_lineage
 from repro.core import provrc
 from repro.core.model import backward_schema
-from repro.insitu.theta_join import intervals_to_cells, theta_join
+from repro.insitu.theta_join import chain_query, intervals_to_cells
 from repro.oracle import assert_equivalent
 
 
@@ -37,7 +37,7 @@ def test_groupby_quantity_matches_duckdb(spark, tpch):
     schema = backward_schema(2, 2)
     cdf = provrc.compress(rel, schema)
     q = provrc.encode_query(pd.DataFrame({"b0": [0], "b1": [1]}), ["b0", "b1"])
-    got = intervals_to_cells(theta_join(q, cdf, schema), ["a0", "a1"])
+    got = intervals_to_cells(chain_query(q, [(cdf, schema)]), ["a0", "a1"])
     want = (
         rel[(rel["b0"] == 0) & (rel["b1"] == 1)][["a0", "a1"]]
         .drop_duplicates()
