@@ -6,8 +6,9 @@ Modules:
   compression kernel and the in-situ query processor.
 - ``model``:   naming conventions for lineage relations and their
   compressed representation (lo/hi pairs, rep codes).
-- ``provrc``:  the pandas/numpy ProvRC kernel — multi-attribute range
-  encoding, relative value transformation, decompression, and query
+- ``provrc``:  the numpy ProvRC kernel — multi-attribute range
+  encoding and the relative value transformation on matrices (pandas
+  only at its frame-in, frame-out boundary), decompression, and query
   encoding. Exact per-paper semantics; unit-tested against the paper's
   worked examples (Tables I-VI).
 - ``spark_provrc``: Spark-parallel compression built on the kernel

@@ -15,12 +15,18 @@ DESIGN.md:
 - the delta sign is ``value - key`` (the paper's tables and ``rel_back``
   require it, its prose says the opposite);
 - during step-2 passes *all* surviving representations of a value
-  attribute are retained (float64 candidate columns, NaN = absent), and
-  pruning to a single representation happens in ``finalize``. Pruning
+  attribute are retained (one float64 candidate matrix, NaN = absent),
+  and pruning to a single representation happens in ``finalize``. Pruning
   eagerly (as a literal reading suggests) would destroy later merge
   opportunities — e.g. the paper's own forward table (Table III) is only
   reachable if the ``b-a`` delta survives the first output pass even
   though the absolute value also survived it.
+
+Step 2 works on one float64 ``(2·n_attr, n)`` C-order candidate matrix,
+the orientation of the int64 matrix ``finalize`` and
+``storage.deserialize`` fill: its rows follow ``candidate_columns(schema)``
+(keys, values, then the ``value - key`` deltas), attribute ``p`` is rows
+``2p, 2p + 1``, and every step-2 function addresses attributes by index.
 
 ``finalize`` emits the only post-compression layout, shared by the
 kernel, the file format (``storage``) and Spark: all int64 columns
@@ -37,6 +43,8 @@ Every merge performed here preserves that expansion exactly;
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 import pandas as pd
 
@@ -44,81 +52,85 @@ from repro.core import ranges as rg
 from repro.core.model import LineageSchema
 
 
-def _candidates(val: str, key_cols: tuple[str, ...]) -> list[str]:
-    """Representation candidates for one value attribute (abs + all deltas)."""
-    return [val] + [rg.delta(val, k) for k in key_cols]
+def _candidates(i: int, n_key: int, n_val: int) -> list[int]:
+    """Representation candidates of value ``i`` as candidate-form attribute
+    indices: its absolute interval, then its delta against each key."""
+    first = n_key + n_val + i * n_key
+    return [n_key + i] + list(range(first, first + n_key))
 
 
-def _orderings(val_cols: tuple[str, ...]) -> list[tuple[tuple[str, ...], str]]:
+def _orderings(n_val: int) -> list[tuple[tuple[int, ...], str]]:
     """The sort orderings a key pass tries, in order, as
-    ``(value-column order, mode)``; the greedy scan is order-dependent
+    ``(value-index order, mode)``; the greedy scan is order-dependent
     and no single sort serves every pattern:
 
     - ``((), "abs")``: target first — delta-run friendly (tile offsets);
     - ``(rot, "abs")``: one value's absolute interval first — clusters
       same-value runs (cross's a1 in {0, 2});
-    - ``(rot, "delta")``: one value's delta columns first — clusters
+    - ``(rot, "delta")``: one value's delta intervals first — clusters
       same-shift runs when a key has several deltas (gradient's i-1 /
       i+1 windows).
     """
-    orderings: list[tuple[tuple[str, ...], str]] = [((), "abs")]
-    for i in range(len(val_cols)):
-        rot = tuple(val_cols[i:] + val_cols[:i])
+    orderings: list[tuple[tuple[int, ...], str]] = [((), "abs")]
+    for i in range(n_val):
+        rot = tuple(range(i, n_val)) + tuple(range(i))
         orderings.append((rot, "abs"))
         orderings.append((rot, "delta"))
     return orderings
 
 
-def _encode_key_pass(
-    df: pd.DataFrame,
-    target: str,
-    other_keys: list[str],
-    val_cols: tuple[str, ...],
-    key_cols: tuple[str, ...],
-) -> pd.DataFrame:
-    """One range-encoding pass over a key attribute (paper §IV.A step 2).
+def _pairs(attrs: Iterable[int]) -> list[int]:
+    """Candidate-matrix rows (``lo``, ``hi``) of attribute indices ``attrs``."""
+    return [r for a in attrs for r in (2 * a, 2 * a + 1)]
+
+
+def _encode_key_pass(m: np.ndarray, target: int, n_key: int, n_val: int) -> np.ndarray:
+    """One range-encoding pass over key attribute ``target`` (paper §IV.A
+    step 2), on and to the candidate matrix.
 
     The greedy scan's merges depend on row order, and no single sort
     serves every lineage pattern: a value attribute that is constant
     along a run must sort *before* the target to cluster its rows (e.g.
     cross's a1 in {0, 2}), while a delta-monotone attribute sorts
     harmlessly anywhere. So the pass scans once per rotation of the
-    value-column order and keeps, per group of the other key attributes,
-    the rotation producing the fewest rows (a later ordering replaces a
+    value order and keeps, per group of the other key attributes, the
+    rotation producing the fewest rows (a later ordering replaces a
     group only with strictly fewer rows). Once every group is down to one
     row no ordering can improve on it, and the remaining ones are not
     tried. Every scan is independently lossless, and per-group selection
     makes the result's rows the same whether the pass runs over the whole
     relation or over pieces that each hold whole groups (``chunk``).
     """
-    if df.empty:
-        return df
-    (order, mode), *later = _orderings(val_cols)
-    grp_cols = [c for k in other_keys for c in (rg.lo(k), rg.hi(k))]
-    best = _scan_key_pass(df, target, other_keys, order, val_cols, key_cols, mode)
+    if m.shape[1] == 0:
+        return m
+    (order, mode), *later = _orderings(n_val)
+    grp = _pairs(k for k in range(n_key) if k != target)
+    best = _scan_key_pass(m, target, order, mode, n_key, n_val)
     # A scan's output is sorted by the other keys first, so its group
     # starts count the groups (the same in every ordering's output).
-    n_groups = int(rg.group_changed(best, other_keys).sum())
+    n_groups = int(rg.changed(best, grp).sum())
     for order, mode in later:
-        if len(best) == n_groups:
+        if best.shape[1] == n_groups:
             break
-        out = _scan_key_pass(df, target, other_keys, order, val_cols, key_cols, mode)
-        if not grp_cols:
-            if len(out) < len(best):
+        out = _scan_key_pass(m, target, order, mode, n_key, n_val)
+        if not grp:
+            if out.shape[1] < best.shape[1]:
                 best = out
             continue
-        codes = (
-            pd.concat([best[grp_cols], out[grp_cols]], ignore_index=True)
-            .groupby(grp_cols, dropna=False, sort=False)
-            .ngroup()
-            .to_numpy()
-        )
+        # Group codes over both outputs at once; ``best`` is unsorted once
+        # a group has been replaced, so they come from one sort of both.
+        both = np.concatenate([best[grp], out[grp]], axis=1)
+        perm = np.lexsort(both[::-1])
+        codes = np.empty(len(perm), dtype=np.int64)
+        codes[perm] = np.cumsum(rg.changed(both.take(perm, axis=1), range(len(grp)))) - 1
         # Both outputs hold every group, so both counts cover every code.
-        old, new = codes[: len(best)], codes[len(best):]
+        old, new = codes[: best.shape[1]], codes[best.shape[1]:]
         better = np.bincount(new) < np.bincount(old)
         if better.any():
-            best = pd.concat([best[~better[old]], out[better[new]]], ignore_index=True)
-    return best.reset_index(drop=True)
+            best = np.concatenate(
+                [best.compress(~better[old], axis=1), out.compress(better[new], axis=1)], axis=1
+            )
+    return best
 
 
 def _after(mask: np.ndarray) -> np.ndarray:
@@ -127,14 +139,8 @@ def _after(mask: np.ndarray) -> np.ndarray:
 
 
 def _scan_key_pass(
-    df: pd.DataFrame,
-    target: str,
-    other_keys: list[str],
-    sort_val_order: tuple[str, ...],
-    val_cols: tuple[str, ...],
-    key_cols: tuple[str, ...],
-    sort_mode: str = "abs",
-) -> pd.DataFrame:
+    m: np.ndarray, target: int, order: tuple[int, ...], mode: str, n_key: int, n_val: int
+) -> np.ndarray:
     """One greedy scan with a fixed sort order (see ``_encode_key_pass``).
 
     After sorting, a run starting at row ``s`` extends to
@@ -149,36 +155,27 @@ def _scan_key_pass(
     computed for every row at once; the scan then only follows
     ``s -> e(s) + 1`` from row 0, one step per output row.
     """
-    cand_cols = [c for v in val_cols for c in _candidates(v, key_cols)]
-    sort_cols = []
-    for c in other_keys:
-        sort_cols += [rg.lo(c), rg.hi(c)]
-    for v in sort_val_order:
-        if sort_mode == "delta":
-            for k in key_cols:
-                d = rg.delta(v, k)
-                sort_cols += [rg.lo(d), rg.hi(d)]
-        else:
-            sort_cols += [rg.lo(v), rg.hi(v)]
-    sort_cols.append(rg.lo(target))
-    for c in cand_cols:
-        if rg.lo(c) not in sort_cols:
-            sort_cols += [rg.lo(c), rg.hi(c)]
-    df = rg.sort_rows(df, sort_cols)
-    n = len(df)
+    others = [k for k in range(n_key) if k != target]
+    cands = [_candidates(i, n_key, n_val) for i in range(n_val)]
+    sort_attrs = list(others)
+    for i in order:
+        sort_attrs += cands[i][1:] if mode == "delta" else cands[i][:1]
+    keys = _pairs(sort_attrs) + [2 * target]
+    keys += _pairs(c for cs in cands for c in cs if c not in sort_attrs)
+    m = m.take(np.lexsort(m[keys[::-1]]), axis=1)
+    n = m.shape[1]
 
-    t_lo = df[rg.lo(target)].to_numpy()
-    t_hi = df[rg.hi(target)].to_numpy()
-    hard = rg.group_changed(df, other_keys)
+    t_lo, t_hi = m[2 * target], m[2 * target + 1]
+    hard = rg.changed(m, _pairs(others))
     hard[1:] |= t_lo[1:] != t_hi[:-1] + 1
-    brk_after = {c: _after(rg.pair_changed(df, c)) for c in cand_cols}
-    notnull = {c: ~np.isnan(df[rg.lo(c)].to_numpy()) for c in cand_cols}
+    brk_after = {c: _after(rg.changed(m, _pairs([c]))) for cs in cands for c in cs}
+    notnull = {c: ~np.isnan(m[2 * c]) for c in brk_after}
 
     idx = np.arange(n)
     end = _after(hard) - 1
-    for v in val_cols:
+    for cs in cands:
         ext = idx
-        for c in _candidates(v, key_cols):
+        for c in cs:
             ext = np.where(notnull[c], np.maximum(ext, brk_after[c] - 1), ext)
         end = np.minimum(end, ext)
 
@@ -190,16 +187,12 @@ def _scan_key_pass(
         s = nxt[s]
     s_arr = np.asarray(starts)
     e_arr = end[s_arr]
-    out = rg.take_rows(df, s_arr)
-    out[rg.hi(target)] = t_hi[e_arr]
+    out = m.take(s_arr, axis=1)
+    out[2 * target + 1] = t_hi[e_arr]
     # Null out candidate representations that did not survive their run.
-    for c in cand_cols:
-        dead = ~(notnull[c][s_arr] & (brk_after[c][s_arr] > e_arr))
-        if dead.any():
-            for col in (rg.lo(c), rg.hi(c)):
-                vals = out[col].to_numpy().copy()
-                vals[dead] = np.nan
-                out[col] = vals
+    for c, brk in brk_after.items():
+        dead = ~(notnull[c][s_arr] & (brk[s_arr] > e_arr))
+        out[2 * c : 2 * c + 2, dead] = np.nan
     return out
 
 
@@ -216,75 +209,68 @@ def value_columns(schema: LineageSchema) -> list[str]:
 
 
 def candidate_columns(schema: LineageSchema) -> list[str]:
-    """Columns of the candidate form (``chunk``'s output, ``stitch``'s
-    input): ``lo``/``hi`` per key and value attribute, then per
-    ``value - key`` delta."""
+    """Names of the candidate matrix's rows (``chunk``'s output,
+    ``stitch``'s input): ``lo``/``hi`` per key and value attribute, then
+    per ``value - key`` delta. Only Spark's Arrow schema needs them."""
     attrs = list(schema.key_cols + schema.val_cols) + [
         rg.delta(v, k) for v in schema.val_cols for k in schema.key_cols
     ]
     return [c for a in attrs for c in (rg.lo(a), rg.hi(a))]
 
 
-def _encode_values(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
+def _encode_values(df: pd.DataFrame, schema: LineageSchema) -> np.ndarray:
     """Step 1 (value range encoding) plus the relative value transformation.
 
     Step 1 is one ``ranges.union_sweep`` over the value attributes, last
-    first, grouped on the still-scalar keys. Returns the candidate form the
-    step-2 key passes consume: every attribute as an interval, then every
-    ``value - key`` delta, as float64 because those passes mark absent
+    first, grouped on the still-scalar keys. Returns the candidate matrix
+    the step-2 key passes consume: float64, C order, one row per
+    ``candidate_columns(schema)`` entry and one column per tuple, so
+    attribute ``p`` (keys, then values, then every ``value - key`` delta)
+    is rows ``2p, 2p + 1``. Float64 because those passes mark absent
     representations with NaN. Keys are still scalar here, so a delta is
     ``[v_lo - k, v_hi - k]``.
     """
     cols = list(schema.key_cols) + list(schema.val_cols)
-    n_key = schema.n_key
+    n_key, n_val = schema.n_key, schema.n_val
     m = np.repeat(np.column_stack([df[c].to_numpy(np.int64) for c in cols]), 2, axis=1)
-    m = rg.union_sweep(m, list(range(len(cols) - 1, n_key - 1, -1)))
-    deltas = [
-        m[:, 2 * (n_key + i) : 2 * (n_key + i) + 2] - m[:, [2 * j]]
-        for i in range(schema.n_val)
-        for j in range(n_key)
-    ]
-    # Column-major, so that every column step 2 sorts on is contiguous.
-    return pd.DataFrame(
-        np.hstack([m, *deltas]).astype(np.float64, order="F"),
-        columns=candidate_columns(schema),
-    )
+    m = rg.union_sweep(m, list(range(len(cols) - 1, n_key - 1, -1))).T
+    out = np.empty((2 * (len(cols) + n_val * n_key), m.shape[1]), dtype=np.float64)
+    out[: len(m)] = m
+    for i in range(n_val):
+        for j, d in enumerate(_candidates(i, n_key, n_val)[1:]):
+            out[2 * d : 2 * d + 2] = m[2 * (n_key + i) : 2 * (n_key + i) + 2] - m[2 * j]
+    return out
 
 
-def chunk(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
+def chunk(df: pd.DataFrame, schema: LineageSchema) -> np.ndarray:
     """Every pass of ``compress`` that stays within one primary-key value.
 
     Runs step 1 and the relative value transformation, then every key
     pass except the primary key's (``schema.key_cols[0]``), and returns
-    the candidate form ``stitch`` consumes. Step 1's first sweep also
+    the candidate matrix ``stitch`` consumes. Step 1's first sweep also
     merges duplicate rows (every schema has a value attribute, and
     identical rows fall into one run). The primary key is still scalar
     throughout, and every merge here groups on it, so running ``chunk``
     on pieces of the relation that each hold all rows of their
     primary-key values (hash partitions of it, say) and concatenating the
-    results gives the same rows as running it on the whole relation.
+    results along axis 1 gives the same tuples as running it on the
+    whole relation.
     """
     work = _encode_values(df, schema)
-    for j in range(len(schema.key_cols) - 1, 0, -1):
-        work = _key_pass(work, j, schema)
+    for j in range(schema.n_key - 1, 0, -1):
+        work = _encode_key_pass(work, j, schema.n_key, schema.n_val)
     return work
 
 
-def stitch(work: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
-    """The primary-key pass over ``chunk`` output, then ``finalize``.
+def stitch(work: np.ndarray, schema: LineageSchema) -> pd.DataFrame:
+    """The primary-key pass over ``chunk``'s candidate matrix, then
+    ``finalize``.
 
     The only pass that merges across primary-key values, so it runs once
     over all chunks. Its scans sort their input, so the result does not
     depend on the order in which the chunks are concatenated.
     """
-    return finalize(_key_pass(work, 0, schema), schema)
-
-
-def _key_pass(work: pd.DataFrame, j: int, schema: LineageSchema) -> pd.DataFrame:
-    """The step-2 pass over key attribute ``j``."""
-    target = schema.key_cols[j]
-    others = [c for c in schema.key_cols if c != target]
-    return _encode_key_pass(work, target, others, schema.val_cols, schema.key_cols)
+    return finalize(_encode_key_pass(work, 0, schema.n_key, schema.n_val), schema)
 
 
 def compress(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
@@ -300,8 +286,8 @@ def compress(df: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     return stitch(chunk(df, schema), schema)
 
 
-def finalize(cdf: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
-    """Prune the candidate form to one representation per value attribute.
+def finalize(m: np.ndarray, schema: LineageSchema) -> pd.DataFrame:
+    """Prune the candidate matrix to one representation per value attribute.
 
     Absolute is preferred (paper pattern (2) over (3)); otherwise the
     first surviving delta is kept. Returns the finalized int64 layout
@@ -309,23 +295,23 @@ def finalize(cdf: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     ``(n_cols, n)`` matrix, as ``storage.deserialize`` builds it.
     """
     cols = interval_columns(schema)
-    m = np.empty((len(cols), len(cdf)), dtype=np.int64)
+    n = m.shape[1]
+    out = np.empty((len(cols), n), dtype=np.int64)
     k = 2 * schema.n_key
-    for j, c in enumerate(cols[:k]):
-        m[j] = cdf[c].to_numpy()
-    rows = np.arange(len(cdf))
+    out[:k] = m[:k]
+    tuples = np.arange(n)
     for i, v in enumerate(schema.val_cols):
-        cands = _candidates(v, schema.key_cols)
-        los = np.column_stack([cdf[rg.lo(c)].to_numpy() for c in cands])
-        his = np.column_stack([cdf[rg.hi(c)].to_numpy() for c in cands])
+        cands = _candidates(i, schema.n_key, schema.n_val)
+        los = m[[2 * c for c in cands]]
+        his = m[[2 * c + 1 for c in cands]]
         avail = ~np.isnan(los)
-        if not avail.any(axis=1).all():
+        if not avail.any(axis=0).all():
             raise ValueError(f"value attribute {v} has no representation in some rows")
-        code = avail.argmax(axis=1)
-        m[k + 3 * i] = code
-        m[k + 3 * i + 1] = los[rows, code]
-        m[k + 3 * i + 2] = his[rows, code]
-    return pd.DataFrame(m.T, columns=cols)
+        code = avail.argmax(axis=0)
+        out[k + 3 * i] = code
+        out[k + 3 * i + 1] = los[code, tuples]
+        out[k + 3 * i + 2] = his[code, tuples]
+    return pd.DataFrame(out.T, columns=cols)
 
 
 def absolute_values(vals: np.ndarray, key_lo: np.ndarray, key_hi: np.ndarray) -> np.ndarray:

@@ -3,13 +3,15 @@
 Every attribute is a closed integer interval ``[lo, hi]`` stored as two
 columns. A finalized compressed table (``provrc.interval_columns``) is all
 int64: key ``lo``/``hi`` pairs plus, per value attribute, a ``rep`` code
-and the chosen representation's ``lo``/``hi``. Only the candidate columns
-inside ProvRC's step-2 key passes are float64 with NaN = absent; float64
-represents integers exactly up to 2**53, far beyond any array index here.
+and the chosen representation's ``lo``/``hi``. Only the candidate matrix
+inside ProvRC's step 2 is float64 with NaN = absent; float64 represents
+integers exactly up to 2**53, far beyond any array index here.
 
 The primitives are whole-column numpy: ``sort_rows`` (a stable
-``np.lexsort``, NaN last), change masks, next-change indices, and the
-two pieces of interval algebra, each on int64 matrices rather than
+``np.lexsort`` of a frame, NaN last, for ``decompress`` and
+``intervals_to_cells``), ``changed`` (the NaN-aware change mask over
+matrix rows that step 2 scans with), next-change indices, and the two
+pieces of interval algebra, each on int64 matrices rather than
 frames and each with a single implementation: ``union_sweep``, the
 multi-attribute range encoding (ProvRC step 1, the query encoding Q' and
 the θ-join's merge), and ``cartesian``, the expansion of interval rows
@@ -57,42 +59,24 @@ def sort_rows(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
     ``np.lexsort`` over the raw columns instead of pandas' per-column
     ``Categorical`` codes.
     """
-    return take_rows(df, np.lexsort([df[c].to_numpy() for c in reversed(cols)]))
-
-
-def take_rows(df: pd.DataFrame, rows: np.ndarray) -> pd.DataFrame:
-    """Rows ``rows`` of ``df`` under a fresh ``RangeIndex``.
-
-    ``take(...).reset_index(drop=True)`` without the second full copy
-    that ``reset_index`` makes.
-    """
-    out = df.take(rows)
+    out = df.take(np.lexsort([df[c].to_numpy() for c in reversed(cols)]))
     out.index = pd.RangeIndex(len(out))
     return out
 
 
-def pair_changed(df: pd.DataFrame, col: str) -> np.ndarray:
-    """Boolean mask: row t's ``[lo, hi]`` for ``col`` differs from row t-1's.
+def changed(m: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """Boolean mask over the columns of matrix ``m``: column t differs from
+    column t-1 in any of ``rows``. Column 0 is always marked changed.
 
     NaN-aware: two NaNs compare equal (same "absent" state); NaN vs value
-    is a change. Row 0 is always marked changed.
+    is a change.
     """
-    same = np.ones(max(len(df) - 1, 0), dtype=bool)
-    for c in (lo(col), hi(col)):
-        v = df[c].to_numpy()
-        nan = np.isnan(v)
-        same &= (v[1:] == v[:-1]) | (nan[1:] & nan[:-1])
-    out = np.ones(len(df), dtype=bool)
-    out[1:] = ~same
-    return out
-
-
-def group_changed(df: pd.DataFrame, cols: list[str]) -> np.ndarray:
-    """Boolean mask: any of the interval attributes in ``cols`` changed."""
-    out = np.zeros(len(df), dtype=bool)
-    out[0] = True
-    for c in cols:
-        out |= pair_changed(df, c)
+    out = np.ones(m.shape[1], dtype=bool)
+    a = m[list(rows)]
+    same = a[:, 1:] == a[:, :-1]
+    if a.dtype.kind == "f":
+        same |= np.isnan(a[:, 1:]) & np.isnan(a[:, :-1])
+    out[1:] = ~same.all(axis=0)
     return out
 
 

@@ -18,12 +18,14 @@ only the primary-key pass merges across key values, and ``stitch`` runs
 it once over all of them and sorts its input. So after one exchange the
 result equals ``provrc.compress`` row for row, in the same order.
 
-Candidate rows travel in the kernel's candidate form
-(``provrc.candidate_columns``, doubles, NaN = absent representation).
-The driver collects all of them, so what ``chunk`` leaves must fit in
-its memory: few rows for structured lineage, nearly the whole relation
-for incompressible lineage such as Sort. The result is the finalized layout shared with the kernel and the
-file format, ``interval_columns(schema)`` as non-nullable longs,
+Candidate rows travel as the kernel's candidate matrix transposed into
+a frame named by ``provrc.candidate_columns`` (doubles, NaN = absent
+representation), since Arrow needs names; the driver turns the collected
+frame back into the matrix ``stitch`` takes. The driver collects all of
+them, so what ``chunk`` leaves must fit in its memory: few rows for
+structured lineage, nearly the whole relation for incompressible lineage
+such as Sort. The result is the finalized layout shared with the kernel
+and the file format, ``interval_columns(schema)`` as non-nullable longs,
 collectable into the pandas kernel's table or persisted via
 ``insitu.store``.
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
@@ -45,14 +48,16 @@ def _chunk(
     schema: LineageSchema, batches: Iterator[pd.DataFrame]
 ) -> Iterator[pd.DataFrame]:
     """``provrc.chunk`` over a whole partition (all of its Arrow batches:
-    a batch boundary may cut a primary-key value's rows apart).
+    a batch boundary may cut a primary-key value's rows apart), as one
+    frame named by ``provrc.candidate_columns``.
 
     Module-level and bound with ``functools.partial``, so it pickles by
     reference and each worker runs its own import of the kernel.
     """
     frames = list(batches)
     if frames:
-        yield provrc.chunk(pd.concat(frames, ignore_index=True), schema)
+        m = provrc.chunk(pd.concat(frames, ignore_index=True), schema)
+        yield pd.DataFrame(m.T, columns=provrc.candidate_columns(schema))
 
 
 def compress_spark(
@@ -81,7 +86,8 @@ def compress_spark(
     final = StructType(
         [StructField(c, LongType(), nullable=False) for c in interval_columns(schema)]
     )
-    return df.sparkSession.createDataFrame(provrc.stitch(work, schema), final)
+    cdf = provrc.stitch(work.to_numpy(np.float64).T, schema)
+    return df.sparkSession.createDataFrame(cdf, final)
 
 
 def collect_compressed(cdf: DataFrame) -> pd.DataFrame:

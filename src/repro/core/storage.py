@@ -4,14 +4,14 @@ The format stores, per row: every key interval (int32 lo/hi) and, per
 value attribute, a one-byte representation code (0 = absolute, 1+j =
 delta vs key axis j) plus the int32 lo/hi of the chosen representation —
 exactly the information in the paper's finalized tables, and exactly the
-columns of the in-memory finalized table (``provrc.interval_columns``),
-so ``serialize`` is a near-copy and ``deserialize`` returns that table
-directly: one ``(n_cols, n)`` int64 matrix, one row per column, filled
-from the streams and wrapped once as the frame's single int64 block (the
-form ``provrc.finalize`` builds too, and which the θ-join reads with one
-``to_numpy``). ``ProvRC-GZip`` gzips the same payload; the paper applies it by
-default because it wins on unstructured lineage at negligible cost for
-structured lineage.
+columns of the in-memory finalized table (``provrc.interval_columns``).
+Both directions go through one ``(n_cols, n)`` int64 matrix, one row per
+column: ``serialize`` reads the table into it and streams its rows, and
+``deserialize`` fills it from the streams and wraps it once as the
+frame's single int64 block (the form ``provrc.finalize`` builds too, and
+which the θ-join reads with one ``to_numpy``). ``ProvRC-GZip`` gzips the
+same payload; the paper applies it by default because it wins on
+unstructured lineage at negligible cost for structured lineage.
 
 Layout (little-endian), version 2:
   magic ``PRVC`` | version u8 | direction u8 (0=backward, 1=forward)
@@ -39,7 +39,6 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 
-from repro.core import ranges as rg
 from repro.core.model import LineageSchema, backward_schema, forward_schema
 from repro.core.provrc import interval_columns
 
@@ -76,14 +75,24 @@ def _take_stream(buf: bytes, off: int, dtype: str, n: int) -> tuple[np.ndarray, 
     return np.frombuffer(buf, dtype=dtype, count=count, offset=off + 1), off + 1 + size
 
 
-def _lo_width(cdf: pd.DataFrame, col: str) -> tuple[np.ndarray, np.ndarray]:
-    lo_v = cdf[rg.lo(col)].to_numpy(dtype="int64")
-    return lo_v, cdf[rg.hi(col)].to_numpy(dtype="int64") - lo_v
+def _stream_dtypes(n_key: int, n_val: int) -> list[str]:
+    """The stream dtypes, one per column of ``interval_columns``."""
+    return ["<i4"] * (2 * n_key) + ["u1", "<i4", "<i4"] * n_val
 
 
 def serialize(cdf: pd.DataFrame, schema: LineageSchema) -> bytes:
-    """Encode a finalized compressed table (``provrc.interval_columns``)."""
-    cdf = cdf.sort_values([rg.lo(k) for k in schema.key_cols], kind="mergesort")
+    """Encode a finalized compressed table (``provrc.interval_columns``).
+
+    One ``(n_cols, n)`` int64 matrix, its columns stably sorted by the key
+    ``lo`` rows (primary key first), becomes the streams in place: key
+    ``lo`` as deltas, every ``hi`` as a width over its ``lo``.
+    """
+    m = cdf[interval_columns(schema)].to_numpy(np.int64).T
+    k = 2 * schema.n_key
+    m = m.take(np.lexsort(m[k - 2 :: -2]), axis=1)
+    m[1:k:2] -= m[0:k:2]
+    m[k + 2 :: 3] -= m[k + 1 :: 3]
+    m[0:k:2] = np.diff(m[0:k:2], axis=1, prepend=0)
     parts = [
         _MAGIC,
         struct.pack(
@@ -92,18 +101,11 @@ def serialize(cdf: pd.DataFrame, schema: LineageSchema) -> bytes:
             0 if schema.direction == "backward" else 1,
             schema.n_key,
             schema.n_val,
-            len(cdf),
+            m.shape[1],
         ),
     ]
-    for k in schema.key_cols:
-        lo_v, width = _lo_width(cdf, k)
-        _put_stream(parts, np.diff(lo_v, prepend=np.int64(0)).astype("<i4"))
-        _put_stream(parts, width.astype("<i4"))
-    for v in schema.val_cols:
-        lo_v, width = _lo_width(cdf, v)
-        _put_stream(parts, cdf[rg.rep(v)].to_numpy().astype(np.uint8))
-        _put_stream(parts, lo_v.astype("<i4"))
-        _put_stream(parts, width.astype("<i4"))
+    for row, dtype in zip(m, _stream_dtypes(schema.n_key, schema.n_val)):
+        _put_stream(parts, row.astype(dtype))
     return b"".join(parts)
 
 
@@ -128,7 +130,7 @@ def deserialize(buf: bytes) -> tuple[pd.DataFrame, LineageSchema]:
         if direction == 0
         else forward_schema(n_val, n_key)
     )
-    dtypes = ["<i4"] * (2 * n_key) + ["u1", "<i4", "<i4"] * n_val
+    dtypes = _stream_dtypes(n_key, n_val)
     streams = []
     off = 16
     for r, dtype in enumerate(dtypes):

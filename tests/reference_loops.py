@@ -8,8 +8,11 @@ the pandas gaps-and-islands step 1 that ``provrc._encode_values`` and
 ``provrc.encode_query`` replace with ``ranges.union_sweep``, and a
 per-step frame driver (one-table ``chain_query`` calls, relabelled
 between steps) for the multi-table ``theta_join.chain_query``, which
-carries one int64 matrix from step to step. Tests compare the two on
-random inputs; nothing in ``src/`` imports this module.
+carries one int64 matrix from step to step. The loops address
+attributes by name (``_candidates``, ``_orderings`` and ``_changed`` are
+the name-based forms of the kernel's index-based helpers), on frames
+whose columns the kernel's matrices carry as rows. Tests compare the two
+on random inputs; nothing in ``src/`` imports this module.
 """
 from __future__ import annotations
 
@@ -18,14 +21,29 @@ import pandas as pd
 
 from repro.core import ranges as rg
 from repro.core.model import LineageSchema
-from repro.core.provrc import (
-    _candidates,
-    _orderings,
-    absolute_values,
-    interval_columns,
-    value_columns,
-)
+from repro.core.provrc import absolute_values, interval_columns, value_columns
 from repro.insitu.theta_join import chain_query, merge_intervals
+
+
+def _candidates(val: str, key_cols: tuple[str, ...]) -> list[str]:
+    """Representation candidates for one value attribute (abs + all deltas)."""
+    return [val] + [rg.delta(val, k) for k in key_cols]
+
+
+def _orderings(val_cols: tuple[str, ...]) -> list[tuple[tuple[str, ...], str]]:
+    """``provrc._orderings`` by name: ``(value-column order, mode)``."""
+    orderings: list[tuple[tuple[str, ...], str]] = [((), "abs")]
+    for i in range(len(val_cols)):
+        rot = tuple(val_cols[i:] + val_cols[:i])
+        orderings.append((rot, "abs"))
+        orderings.append((rot, "delta"))
+    return orderings
+
+
+def _changed(df: pd.DataFrame, attrs: list[str]) -> np.ndarray:
+    """``ranges.changed`` over the ``lo``/``hi`` columns of ``attrs``."""
+    m = df[[c for a in attrs for c in (rg.lo(a), rg.hi(a))]].to_numpy().T
+    return rg.changed(m, range(len(m)))
 
 
 def to_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
@@ -51,7 +69,7 @@ def encode_value_pass(df: pd.DataFrame, target: str, other_cols: list[str]) -> p
     df = df.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
     t_lo = df[rg.lo(target)].to_numpy()
     t_hi = df[rg.hi(target)].to_numpy()
-    new_run = rg.group_changed(df, other_cols)
+    new_run = _changed(df, other_cols)
     new_run[1:] |= t_lo[1:] != t_hi[:-1] + 1
     starts = np.flatnonzero(new_run)
     out = df.iloc[starts].reset_index(drop=True)
@@ -110,14 +128,14 @@ def scan_key_pass_loop(
 
     t_lo = df[rg.lo(target)].to_numpy()
     t_hi = df[rg.hi(target)].to_numpy()
-    grp = rg.group_changed(df, other_keys) if other_keys else np.zeros(n, dtype=bool)
+    grp = _changed(df, other_keys) if other_keys else np.zeros(n, dtype=bool)
     contig = np.zeros(n, dtype=bool)
     contig[1:] = t_lo[1:] == t_hi[:-1] + 1
     hard = grp | ~contig
     hard[0] = True
     next_hard = rg.next_true_at_or_after(hard)
 
-    next_brk = {c: rg.next_true_at_or_after(rg.pair_changed(df, c)) for c in cand_cols}
+    next_brk = {c: rg.next_true_at_or_after(_changed(df, [c])) for c in cand_cols}
     notnull = {c: ~np.isnan(df[rg.lo(c)].to_numpy()) for c in cand_cols}
 
     starts: list[int] = []
@@ -190,7 +208,7 @@ def union_sweep_loop(df: pd.DataFrame, col: str, group_cols: list[str]) -> pd.Da
     sort_cols = [rg.lo(g) for g in group_cols] + [rg.hi(g) for g in group_cols]
     sort_cols += [rg.lo(col), rg.hi(col)]
     df = df.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
-    grp = rg.group_changed(df, group_cols) if group_cols else np.zeros(len(df), dtype=bool)
+    grp = _changed(df, group_cols) if group_cols else np.zeros(len(df), dtype=bool)
     grp[0] = True
     lo_v = df[rg.lo(col)].to_numpy()
     hi_v = df[rg.hi(col)].to_numpy()

@@ -28,7 +28,10 @@ class TestStep1:
         cdf = provrc.compress(sum_axis1_lineage(), schema)
         # Before step 2 would merge them, step 1 alone gives 3 rows; the
         # full algorithm merges to 1 (Table II). Check step 1 in isolation.
-        work = provrc._encode_values(sum_axis1_lineage(), schema)
+        work = pd.DataFrame(
+            provrc._encode_values(sum_axis1_lineage(), schema).T,
+            columns=provrc.candidate_columns(schema),
+        )
         assert len(work) == 3
         got = work.sort_values(lo("b0")).reset_index(drop=True)
         for r in range(3):
@@ -132,13 +135,13 @@ class TestStep2:
         targets = []
         scan = provrc._scan_key_pass
 
-        def counting(df, target, *args):
+        def counting(m, target, *args):
             targets.append(target)
-            return scan(df, target, *args)
+            return scan(m, target, *args)
 
         monkeypatch.setattr(provrc, "_scan_key_pass", counting)
         cdf = provrc.compress(pt.identity((12, 12)), backward_schema(2, 2))
-        assert targets == ["b1", "b0"]
+        assert targets == [1, 0]
         assert len(cdf) == 1
 
 

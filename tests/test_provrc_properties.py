@@ -6,8 +6,9 @@
   ground-truth cell set;
 - the query result is always a superset of ground truth (even for
   correlated-delta patterns, where exactness is not promised — DESIGN.md);
-- the vectorized step-2 key pass returns the same frame as the
-  row-at-a-time reference in ``tests/reference_loops.py``, per ordering
+- the vectorized step-2 key pass returns the same candidate matrix,
+  wrapped as a frame, as the row-at-a-time reference in
+  ``tests/reference_loops.py`` returns, per ordering
   and for the whole pass, and step 1 and the query encoding give the same
   rows as the former pandas passes kept there;
 - ``compress`` is separable on primary-key ranges: ``chunk`` per range,
@@ -146,24 +147,59 @@ def test_roundtrip_2x2(rel):
         relation_dense_2x2,
     ),
     st.booleans(),
+    st.just(0),
 )
-def test_scan_matches_loop_reference(rel, forward):
+@example(
+    pd.DataFrame(
+        [
+            (1, 0, 0, 2, 0), (1, 0, 1, 1, 0), (1, 1, 0, 0, 0), (1, 1, 2, 2, 0), (1, 2, 0, 1, 0),
+            (2, 0, 0, 2, 1), (2, 0, 1, 2, 0), (2, 1, 0, 2, 2), (2, 1, 2, 1, 0), (2, 2, 0, 2, 1),
+        ],
+        columns=["b0", "b1", "a0", "a1", "a2"],
+    ),
+    False,
+    2,
+)
+def test_scan_matches_loop_reference(rel, forward, min_wins):
     """Every ordering's scan, and each whole key pass, on the candidate
-    forms ``compress`` feeds them (later passes see NaN candidates)."""
+    forms ``compress`` feeds them (later passes see NaN candidates).
+
+    In some key pass, at least ``min_wins`` orderings after the first
+    each give some group fewer rows than every ordering before them. The
+    explicit example has two such orderings in its ``b1`` pass, so the
+    second replaces a group once the pass's best rows are no longer
+    sorted by group."""
     schema = _schema_of(rel, forward)
+    n_key, n_val = schema.n_key, schema.n_val
+    cols = provrc.candidate_columns(schema)
+
+    def frame(m):
+        return pd.DataFrame(m.T, columns=cols)
+
+    most_wins = 0
     work = provrc._encode_values(rel.drop_duplicates(), schema)
-    for j in range(schema.n_key - 1, -1, -1):
+    for j in range(n_key - 1, -1, -1):
         target = schema.key_cols[j]
         others = [c for c in schema.key_cols if c != target]
+        grp = [c for k in others for c in (rg.lo(k), rg.hi(k))]
         args = (schema.val_cols, schema.key_cols)
-        for order, mode in provrc._orderings(schema.val_cols):
-            got = provrc._scan_key_pass(work, target, others, order, *args, mode)
-            want = scan_key_pass_loop(work, target, others, order, *args, mode)
-            pd.testing.assert_frame_equal(got, want, check_exact=True)
-        got = provrc._encode_key_pass(work, target, others, *args)
-        want = encode_key_pass_all_orderings(work, target, others, *args)
-        pd.testing.assert_frame_equal(got, want, check_exact=True)
+        fewest, wins = None, 0
+        for order, mode in provrc._orderings(n_val):
+            got = provrc._scan_key_pass(work, j, order, mode, n_key, n_val)
+            names = tuple(schema.val_cols[i] for i in order)
+            want = scan_key_pass_loop(frame(work), target, others, names, *args, mode)
+            pd.testing.assert_frame_equal(frame(got), want, check_exact=True)
+            rows = want.groupby(grp).size().to_numpy() if grp else np.array([len(want)])
+            if fewest is not None:
+                wins += bool((rows < fewest).any())
+                rows = np.minimum(rows, fewest)
+            fewest = rows
+        most_wins = max(most_wins, wins)
+        got = provrc._encode_key_pass(work, j, n_key, n_val)
+        want = encode_key_pass_all_orderings(frame(work), target, others, *args)
+        pd.testing.assert_frame_equal(frame(got), want, check_exact=True)
         work = got
+    assert most_wins >= min_wins
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,7 +218,7 @@ def test_step1_matches_reference(rel, forward):
     def rows(df):
         return rg.sort_rows(df, list(df.columns))
 
-    got = provrc._encode_values(rel, schema)
+    got = pd.DataFrame(provrc._encode_values(rel, schema).T, columns=provrc.candidate_columns(schema))
     want = encode_values_reference(rel, schema)
     pd.testing.assert_frame_equal(rows(got), rows(want), check_exact=True)
     cols = list(schema.full_cols)
@@ -241,7 +277,7 @@ def test_chunks_on_primary_key_ranges_stitch_to_compress(rel, forward, cuts, bac
     parts = [provrc.chunk(rel[bins == b], schema) for b in np.unique(bins)]
     if backwards:
         parts.reverse()
-    got = provrc.stitch(pd.concat(parts, ignore_index=True), schema)
+    got = provrc.stitch(np.concatenate(parts, axis=1), schema)
     pd.testing.assert_frame_equal(got, provrc.compress(rel, schema), check_exact=True)
 
 

@@ -8,12 +8,6 @@ from repro.core import ranges as rg
 from tests.reference_loops import union_sweep_loop
 
 
-def interval_df(pairs, col="x"):
-    return pd.DataFrame(
-        {rg.lo(col): [p[0] for p in pairs], rg.hi(col): [p[1] for p in pairs]}
-    )
-
-
 class TestNaming:
     def test_lo_hi_delta(self):
         assert rg.lo("a0") == "a0_lo"
@@ -22,19 +16,19 @@ class TestNaming:
 
 
 class TestPairChanged:
+    """``changed`` over one attribute's ``lo``/``hi`` matrix rows."""
+
     def test_detects_value_changes(self):
-        df = interval_df([(1, 2), (1, 2), (1, 3), (4, 4)])
-        got = rg.pair_changed(df, "x")
-        assert got.tolist() == [True, False, True, True]
+        m = np.array([(1, 2), (1, 2), (1, 3), (4, 4)], dtype=np.float64).T
+        assert rg.changed(m, [0, 1]).tolist() == [True, False, True, True]
 
     def test_nan_equals_nan(self):
-        df = interval_df([(np.nan, np.nan), (np.nan, np.nan), (1, 1)])
-        got = rg.pair_changed(df, "x")
-        assert got.tolist() == [True, False, True]
+        m = np.array([(np.nan, np.nan), (np.nan, np.nan), (1, 1)]).T
+        assert rg.changed(m, [0, 1]).tolist() == [True, False, True]
 
     def test_nan_vs_value_is_change(self):
-        df = interval_df([(1, 1), (np.nan, np.nan), (1, 1)])
-        assert rg.pair_changed(df, "x").tolist() == [True, True, True]
+        m = np.array([(1, 1), (np.nan, np.nan), (1, 1)]).T
+        assert rg.changed(m, [0, 1]).tolist() == [True, True, True]
 
 
 class TestNextTrue:
@@ -123,9 +117,11 @@ class TestUnionSweep:
 
 
 class TestGroupChanged:
+    """``changed`` over several attributes' rows, and over none."""
+
     def test_multi_column(self):
-        df = interval_df([(1, 1), (1, 1), (1, 1)], col="x")
-        df[rg.lo("y")] = [0.0, 0.0, 5.0]
-        df[rg.hi("y")] = [0.0, 0.0, 5.0]
-        got = rg.group_changed(df, ["x", "y"])
-        assert got.tolist() == [True, False, True]
+        # Rows: x_lo, x_hi, y_lo, y_hi; columns are tuples.
+        m = np.array([(1, 1, 0, 0), (1, 1, 0, 0), (1, 1, 5, 5)], dtype=np.float64).T
+        assert rg.changed(m, [0, 1, 2, 3]).tolist() == [True, False, True]
+        assert rg.changed(m, [0, 1]).tolist() == [True, False, False]
+        assert rg.changed(m, []).tolist() == [True, False, False]
