@@ -3,7 +3,9 @@ lineage relation (``provrc.chunk`` per hash partition of the primary
 key, one hash exchange, ``provrc.stitch`` on the driver) and the Spark
 in-situ query path end to end, each next to the pandas kernel on the
 same relation or table. Measures the paper's "highly parallelizable"
-claim against the single-process kernel."""
+claim against the single-process kernel, and the fixed cost of the two
+kinds of Spark job a chain query runs: a JVM-only collect of a later
+table and the one Python (``mapInPandas``) job."""
 import pandas as pd
 
 from repro.capture import patterns as pt
@@ -62,3 +64,22 @@ def test_kernel_insitu_query_end_to_end(benchmark):
 
     cells = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(cells) == 30 * 600
+
+
+def _one_row(spark):
+    return spark.createDataFrame(pd.DataFrame({"x": [0]}))
+
+
+def test_spark_jvm_only_job(benchmark, spark):
+    """A 1-row table through Arrow ``toPandas``: no Python worker runs."""
+    df = _one_row(spark)
+    out = benchmark.pedantic(df.toPandas, rounds=12, iterations=1, warmup_rounds=1)
+    assert len(out) == 1
+
+
+def test_spark_python_job(benchmark, spark):
+    """The same table through an identity ``mapInPandas``, on warm workers."""
+    df = _one_row(spark)
+    df = df.mapInPandas(lambda batches: batches, df.schema)
+    out = benchmark.pedantic(df.toPandas, rounds=12, iterations=1, warmup_rounds=1)
+    assert len(out) == 1

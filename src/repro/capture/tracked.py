@@ -67,14 +67,6 @@ def perturbation_capture(
     )
 
 
-def relation_subset(small: pd.DataFrame, big: pd.DataFrame) -> bool:
-    """True iff every row of ``small`` appears in ``big``."""
-    if small.empty:
-        return True
-    merged = small.merge(big.drop_duplicates(), how="left", indicator=True)
-    return bool((merged["_merge"] == "both").all())
-
-
 def relations_equal(x: pd.DataFrame, y: pd.DataFrame) -> bool:
     """True iff ``x`` and ``y`` have the same columns (in any order) and
     the same set of rows, duplicates ignored."""

@@ -28,7 +28,10 @@ for Sort lands near the columnar baselines instead of above Raw.
 
 ``deserialize`` rejects malformed input (bad magic, version or direction,
 a truncated stream, a representation code above ``n_key``, trailing
-bytes) with a ``ValueError`` naming the format.
+bytes) with a ``ValueError`` naming the format. ``serialize`` refuses,
+with a ``ValueError`` naming the stream and the value, a table whose key
+delta, ``lo``, width or ``rep`` stream does not fit its dtype, instead of
+writing a file that reads back different values.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 
+from repro.core import ranges as rg
 from repro.core.model import LineageSchema, backward_schema, forward_schema
 from repro.core.provrc import interval_columns
 
@@ -75,9 +79,20 @@ def _take_stream(buf: bytes, off: int, dtype: str, n: int) -> tuple[np.ndarray, 
     return np.frombuffer(buf, dtype=dtype, count=count, offset=off + 1), off + 1 + size
 
 
-def _stream_dtypes(n_key: int, n_val: int) -> list[str]:
-    """The stream dtypes, one per column of ``interval_columns``."""
-    return ["<i4"] * (2 * n_key) + ["u1", "<i4", "<i4"] * n_val
+def _streams(schema: LineageSchema) -> list[tuple[str, str]]:
+    """What each stream holds and its dtype, one per column of
+    ``interval_columns``."""
+    keys = [
+        s
+        for k in schema.key_cols
+        for s in ((f"{rg.lo(k)} delta", "<i4"), (f"{rg.hi(k)} width", "<i4"))
+    ]
+    vals = [
+        s
+        for v in schema.val_cols
+        for s in ((rg.rep(v), "u1"), (rg.lo(v), "<i4"), (f"{rg.hi(v)} width", "<i4"))
+    ]
+    return keys + vals
 
 
 def serialize(cdf: pd.DataFrame, schema: LineageSchema) -> bytes:
@@ -85,7 +100,10 @@ def serialize(cdf: pd.DataFrame, schema: LineageSchema) -> bytes:
 
     One ``(n_cols, n)`` int64 matrix, its columns stably sorted by the key
     ``lo`` rows (primary key first), becomes the streams in place: key
-    ``lo`` as deltas, every ``hi`` as a width over its ``lo``.
+    ``lo`` as deltas, every ``hi`` as a width over its ``lo``. A stream
+    with a value outside its dtype (int32, or u8 for ``rep``) raises
+    ``ValueError`` naming the stream and the value, before anything is
+    cast.
     """
     m = cdf[interval_columns(schema)].to_numpy(np.int64).T
     k = 2 * schema.n_key
@@ -104,7 +122,14 @@ def serialize(cdf: pd.DataFrame, schema: LineageSchema) -> bytes:
             m.shape[1],
         ),
     ]
-    for row, dtype in zip(m, _stream_dtypes(schema.n_key, schema.n_val)):
+    for row, (name, dtype) in zip(m, _streams(schema)):
+        info = np.iinfo(dtype)
+        for v in (row.min(), row.max()) if len(row) else ():
+            if not info.min <= v <= info.max:
+                raise ValueError(
+                    f"cannot write ProvRC file: stream {name} holds {v}, "
+                    f"outside {dtype} [{info.min}, {info.max}]"
+                )
         _put_stream(parts, row.astype(dtype))
     return b"".join(parts)
 
@@ -130,7 +155,7 @@ def deserialize(buf: bytes) -> tuple[pd.DataFrame, LineageSchema]:
         if direction == 0
         else forward_schema(n_val, n_key)
     )
-    dtypes = _stream_dtypes(n_key, n_val)
+    dtypes = [dtype for _, dtype in _streams(schema)]
     streams = []
     off = 16
     for r, dtype in enumerate(dtypes):

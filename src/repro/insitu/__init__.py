@@ -5,9 +5,10 @@
   the merge (row-reduction) optimization (``theta_join``,
   ``merge_intervals``), chained along a path by ``chain_query``.
 - ``spark_query``: chained forward/backward queries over a pipeline of
-  compressed lineage tables, in Spark: the same ``theta_join`` per
-  partition of a store scan filtered on the query's primary-key hull and
-  the same ``merge_intervals`` on the driver, no shuffle.
+  compressed lineage tables, in Spark: one task per partition of a store
+  scan filtered on the query's primary-key hull runs the same
+  ``theta_join`` for every step, the later tables collected once to the
+  driver and shipped to the task; no shuffle.
 - ``store``: compressed tables persisted as Parquet sorted on the primary
   key axis; a query step's key predicate pushes down to row-group stats.
 - ``baseline_query``: the DPSM baselines' query path (decompress +

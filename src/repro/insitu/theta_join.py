@@ -32,8 +32,8 @@ the next step's query: its value attributes are the next table's key
 attributes, positionally (the arrays are the same, only the role flips
 from "output of op k" to "input of op k+1"), so no frame is built and
 nothing is renamed between steps. Spark (``spark_query``) runs the same
-three functions on the same matrices: ``theta_join`` per partition and
-``merge_intervals`` on the driver.
+``theta_join`` on the same matrices, every step of a chain in one task
+per partition of the first table.
 """
 from __future__ import annotations
 

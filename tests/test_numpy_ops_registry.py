@@ -6,14 +6,19 @@ two must match exactly; for ops with non-injective value flow (maximum,
 sign, clip, …) perturbation lineage is a subset of contribution lineage.
 """
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.capture import numpy_ops as nops
-from repro.capture.tracked import (
-    perturbation_capture,
-    relation_subset,
-    relations_equal,
-)
+from repro.capture.tracked import perturbation_capture, relations_equal
+
+
+def relation_subset(small: pd.DataFrame, big: pd.DataFrame) -> bool:
+    """True iff every row of ``small`` appears in ``big``."""
+    if small.empty:
+        return True
+    merged = small.merge(big.drop_duplicates(), how="left", indicator=True)
+    return bool((merged["_merge"] == "both").all())
 
 
 class TestRegistryShape:

@@ -1,25 +1,39 @@
-"""Spark in-situ query path: the kernel run per partition of a filtered
-scan returns the kernel's cells on every input, matches the DuckDB
-oracle, and plans as a pushed-down Parquet scan with no shuffle.
+"""Spark in-situ query path: one task per partition of a filtered scan
+runs every θ-join step of a chain, returns the kernel's cells on every
+input and at any partitioning, matches the DuckDB oracle, runs one Spark
+job per table (a single Python job), and plans as a pushed-down Parquet
+scan with no shuffle.
 """
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.capture import numpy_ops as nops
 from repro.capture import patterns as pt
 from repro.core import provrc
 from repro.core.model import backward_schema, forward_schema
+from repro.core.provrc import interval_columns
 from repro.core.ranges import hi, lo
 from repro.core.spark_provrc import compress_spark
-from repro.insitu import store
+from repro.insitu import spark_query, store
 from repro.insitu.spark_query import chain_query_spark, collect_cells
-from repro.insitu.theta_join import chain_query, intervals_to_cells
+from repro.insitu.theta_join import chain_query, intervals_to_cells, query_matrix, theta_join
 from repro.oracle import assert_equivalent
 
 
 def _executed_plan(df) -> str:
     return df._jdf.queryExecution().executedPlan().toString()
+
+
+def _sql_plans(spark) -> dict[int, str]:
+    """Physical plans of the SQL executions the session retains, by id."""
+    it = spark._jsparkSession.sharedState().statusStore().executionsList().iterator()
+    plans = {}
+    while it.hasNext():
+        e = it.next()
+        plans[e.executionId()] = e.physicalPlanDescription()
+    return plans
 
 
 def _reduce(spark, tmp_path, cells):
@@ -59,6 +73,39 @@ def _scattered_sort(spark, tmp_path):
     cells = pd.DataFrame({"b0": flat // 30, "b1": flat % 30})
     q = provrc.encode_query(cells, ["b0", "b1"])
     return q, [(rel, schema)], [(spark.createDataFrame(cdf), schema)]
+
+
+def _forward_chain_tables() -> list[pd.DataFrame]:
+    """identity -> trailing window -> identity over 64 cells, compressed.
+    The first table is the identity compressed in blocks of 8 cells:
+    eight rows, still a valid compressed table of the same relation, so
+    that partitions can hold different key ranges."""
+    n = 64
+    s = forward_schema(1, 1)
+    window = pd.DataFrame(
+        [(i, j) for i in range(n) for j in range(max(0, i - 2), i + 1)], columns=["b0", "a0"]
+    )
+    first = pd.concat(
+        [provrc.compress(pt.identity((n,)).iloc[i : i + 8], s) for i in range(0, n, 8)],
+        ignore_index=True,
+    )
+    return [first, provrc.compress(window, s), provrc.compress(pt.identity((n,)), s)]
+
+
+def _partitioned(spark, cdf: pd.DataFrame, schema, n_parts: int):
+    """``cdf`` as a Spark table of exactly ``n_parts`` partitions, with no
+    Exchange in its plan. The rows that overlap ``FORWARD_QUERY`` come
+    first and the rows that only overlap its hull last, so once the scan
+    is coalesced to any parallelism of 2 or more, some partition holds
+    rows but joins none of them."""
+    cols = interval_columns(schema)
+    order = [1, 5, 0, 6, 7, 2, 3, 4]
+    rows = [tuple(int(x) for x in r) for r in cdf[cols].to_numpy()[order]]
+    longs = StructType([StructField(c, LongType()) for c in cols])
+    return spark.createDataFrame(spark.sparkContext.parallelize(rows, n_parts), longs)
+
+
+FORWARD_QUERY = [10, 11, 40]
 
 
 CASES = {
@@ -133,6 +180,43 @@ class TestSparkThetaJoin:
             r2=r2,
             r3=r3,
         )
+
+    @pytest.mark.parametrize("n_parts", [1, 4, 8])
+    def test_chain_at_any_partitioning_matches_kernel(self, spark, n_parts):
+        """A 3-table chain gives the kernel's cells whatever the first
+        table's partitioning, also when a partition's intermediate result
+        is empty, in one Spark job per table of which only one runs Python,
+        with one MapInPandas and no Exchange in its plan."""
+        s = forward_schema(1, 1)
+        kernel_tables = [(t, s) for t in _forward_chain_tables()]
+        tables = [(_partitioned(spark, kernel_tables[0][0], s, n_parts), s)] + [
+            (spark.createDataFrame(t), s) for t, _ in kernel_tables[1:]
+        ]
+        q = provrc.encode_query(pd.DataFrame({"a0": FORWARD_QUERY}), ["a0"])
+        want = intervals_to_cells(chain_query(q, kernel_tables), ["b0"])
+
+        sc = spark.sparkContext
+        group = f"chain-{n_parts}"
+        seen = max(_sql_plans(spark), default=-1)
+        sc.setJobGroup(group, "one chain query")
+        try:
+            result = chain_query_spark(spark, q, tables)
+            got = collect_cells(result, ["b0"])
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        pd.testing.assert_frame_equal(got, want)
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == len(tables)
+        ran = [p for i, p in _sql_plans(spark).items() if i > seen]
+        assert sum("MapInPandas" in p for p in ran) == 1, ran
+        plan = _executed_plan(result)
+        assert plan.count("MapInPandas") == 1, plan
+        assert "Exchange" not in plan, plan
+
+        if n_parts > 1:
+            qm = query_matrix(q, [s])
+            parts = spark_query._scan(spark, tables[0][0], qm, s).rdd.glom().collect()
+            steps = [theta_join(qm, np.array(p, dtype=np.int64), s.n_key) for p in parts if p]
+            assert any(len(m) == 0 for m in steps), [len(m) for m in steps]
 
 
 class TestStore:

@@ -16,6 +16,7 @@ from repro.baselines import (
 from repro.capture import patterns as pt
 from repro.core import provrc, storage
 from repro.core.model import backward_schema
+from repro.core.provrc import interval_columns
 from repro.core.ranges import rep
 
 
@@ -130,3 +131,31 @@ def test_deserialize_rejects_malformed(corrupt, match):
     assert len(back) == len(cdf) == 9
     with pytest.raises(ValueError, match=match):
         storage.deserialize(corrupt(buf, cdf))
+
+
+def _one_row(b0_lo: int, b0_hi: int) -> pd.DataFrame:
+    """A finalized 1-key, 1-value table of one row, ``a0`` absolute."""
+    return pd.DataFrame(
+        [[b0_lo, b0_hi, 0, 0, 3]], columns=interval_columns(backward_schema(1, 1))
+    )
+
+
+@pytest.mark.parametrize("b0", [2**31 - 1, -(2**31)])
+def test_int32_extremes_roundtrip(b0):
+    schema = backward_schema(1, 1)
+    cdf = _one_row(b0, b0)
+    back, _ = storage.deserialize(storage.serialize(cdf, schema))
+    pd.testing.assert_frame_equal(back, cdf)
+
+
+@pytest.mark.parametrize(
+    "b0_lo,b0_hi,match",
+    [
+        (2**31 + 5, 2**31 + 5, "stream b0_lo delta holds 2147483653"),
+        (0, 2**31, "stream b0_hi width holds 2147483648"),
+    ],
+    ids=["lo-above-int32", "width-above-int32"],
+)
+def test_serialize_refuses_values_outside_int32(b0_lo, b0_hi, match):
+    with pytest.raises(ValueError, match=match):
+        storage.serialize(_one_row(b0_lo, b0_hi), backward_schema(1, 1))
