@@ -2,14 +2,19 @@
 prov_query, backed by ProvRC compression, the in-situ θ-join, and the
 automatic reuse index.
 
-Lineage is stored compressed in the backward orientation (the paper's
-long-term choice, §VII.C.1); the forward orientation is materialized
-lazily when a forward query needs it (§IV.C). Queries run in situ — the
-stored tables are never decompressed.
+Every captured relation is compressed once, at ingest, into the backward
+orientation (the paper's long-term choice, §VII.C.1), and the relation is
+then dropped: the log and its reuse index hold only finalized ProvRC
+tables. The forward orientation is materialized lazily when a forward
+query needs it (§IV.C), by compressing the decompressed backward table
+with the forward schema (the two hold the same row set, and ``compress``
+depends only on that). Queries run in situ — a backward query never
+decompresses a stored table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import pandas as pd
 
@@ -24,21 +29,17 @@ from repro.reuse.signatures import ReuseIndex
 class _Edge:
     """Lineage between a (src array -> dst array) pair of one operation."""
 
-    n_src_axes: int
-    n_dst_axes: int
-    relation: pd.DataFrame  # full lineage, columns b* (dst), a* (src)
-    backward: pd.DataFrame | None = None  # compressed, key=dst
-    forward: pd.DataFrame | None = None  # compressed, key=src
+    backward: pd.DataFrame  # finalized ProvRC table, key=dst
+    schema: LineageSchema  # backward schema of ``backward``
+    forward: pd.DataFrame | None = None  # compressed on first use, key=src
 
     def compressed(self, direction: str) -> tuple[pd.DataFrame, LineageSchema]:
         if direction == "backward":
-            schema = backward_schema(self.n_dst_axes, self.n_src_axes)
-            if self.backward is None:
-                self.backward = provrc.compress(self.relation, schema)
-            return self.backward, schema
-        schema = forward_schema(self.n_dst_axes, self.n_src_axes)
+            return self.backward, self.schema
+        schema = forward_schema(self.schema.n_key, self.schema.n_val)
         if self.forward is None:
-            self.forward = provrc.compress(self.relation, schema)
+            relation = provrc.decompress(self.backward, self.schema)
+            self.forward = provrc.compress(relation, schema)
         return self.forward, schema
 
 
@@ -47,13 +48,14 @@ class DSLog:
 
     The facade is kernel-only: it never calls Spark. ``core.spark_provrc``
     and ``insitu.spark_query`` run the same kernels per partition in Spark
-    executors, for callers that hold their tables in Spark.
+    executors, for callers that hold their tables in Spark. Reuse
+    promotes a signature after one confirming call (the paper's m = 1).
     """
 
-    def __init__(self, *, reuse_m: int = 1):
+    def __init__(self):
         self._arrays: dict[str, tuple[int, ...]] = {}
         self._edges: dict[tuple[str, str], _Edge] = {}
-        self._reuse = ReuseIndex(m=reuse_m)
+        self._reuse = ReuseIndex()
         self.capture_calls = 0  # how many times a capture was executed
         self.reuse_hits = 0  # how many captures were skipped via reuse
 
@@ -63,12 +65,10 @@ class DSLog:
         self._arrays[name] = tuple(shape)
 
     def lineage(self, arr_src: str, arr_dst: str, relation: pd.DataFrame) -> None:
-        """Lineage(arr1, arr2, capture): ingest one captured relation."""
-        self._edges[(arr_src, arr_dst)] = _Edge(
-            n_src_axes=len(self._arrays[arr_src]),
-            n_dst_axes=len(self._arrays[arr_dst]),
-            relation=relation.reset_index(drop=True),
-        )
+        """Lineage(arr1, arr2, capture): compress one captured relation
+        (columns ``b*`` for ``arr_dst``'s axes, ``a*`` for ``arr_src``'s)."""
+        schema = self._schema(arr_src, [arr_dst], relation.columns)
+        self._edges[(arr_src, arr_dst)] = _Edge(provrc.compress(relation, schema), schema)
 
     def register_operation(
         self,
@@ -83,22 +83,50 @@ class DSLog:
         """register_operation: consolidate lineage for one executed op.
 
         ``capture`` is a callable ``() -> CapturedLineage`` (the paper's
-        capture object); with ``reuse`` the automatic predictor may skip
-        it when a permanent signature mapping exists.
+        capture object) returning one relation per input array; each is
+        compressed once, and the edges to every output array share it
+        (and the forward table a forward query builds from it).
+        With ``reuse`` the automatic predictor may skip the capture when a
+        permanent signature mapping exists.
         """
         in_shapes = tuple(self._arrays[a] for a in in_arrs)
         predicted = self._reuse.predict(op_name, op_args, in_shapes) if reuse else None
         if predicted is not None:
-            relations = predicted
+            tables = predicted
             self.reuse_hits += 1
         else:
             cap: CapturedLineage = capture()
-            relations = cap.relations
             self.capture_calls += 1
-            self._reuse.observe(op_name, op_args, in_shapes, relations)
-        for src, rel in zip(in_arrs, relations):
+            if len(cap.relations) != len(in_arrs):
+                raise ValueError(
+                    f"{op_name}: capture returned {len(cap.relations)} relations "
+                    f"for {len(in_arrs)} input arrays"
+                )
+            tables = []
+            for src, rel in zip(in_arrs, cap.relations):
+                schema = self._schema(src, out_arrs, rel.columns)
+                tables.append((provrc.compress(rel, schema), schema))
+            self._reuse.observe(op_name, op_args, in_shapes, tables)
+        for src, (table, schema) in zip(in_arrs, tables, strict=True):
+            edge = _Edge(table, schema)
             for dst in out_arrs:
-                self.lineage(src, dst, rel)
+                self._edges[(src, dst)] = edge
+
+    def _schema(self, src: str, dsts: list[str], columns: Iterable[str]) -> LineageSchema:
+        """The backward schema of the edges ``src -> dst`` for each of
+        ``dsts``: one key per ``dst`` axis, one value per ``src`` axis.
+        Raises ``ValueError`` unless ``columns`` are exactly those axes."""
+        if not dsts:
+            raise ValueError(f"lineage of {src} has no output array")
+        got = sorted(columns)
+        for dst in dsts:
+            schema = backward_schema(len(self._arrays[dst]), len(self._arrays[src]))
+            if got != sorted(schema.full_cols):
+                raise ValueError(
+                    f"lineage {src} -> {dst}: relation columns {got} are not the "
+                    f"declared axes {sorted(schema.full_cols)}"
+                )
+        return schema
 
     # -- paper §III.A queries ---------------------------------------------
     def prov_query(self, path: list[str], query_cells: pd.DataFrame) -> pd.DataFrame:

@@ -2,7 +2,8 @@
 
 For each of the 136 registry ops we run 20 captures (as in the paper):
 same-shape runs with fresh data (exercising dim_sig) and different-shape
-runs (exercising gen_sig), feeding the automatic reuse predictor (m=1).
+runs (exercising gen_sig), feeding each run's compressed lineage to the
+automatic reuse predictor (the paper's m = 1).
 An op counts as:
 
 - **ProvRC-covered** if its lineage compresses to < 0.5x the raw CSV
@@ -66,11 +67,15 @@ def _compresses(spec: nops.OpSpec, rng) -> bool:
 def evaluate_op(spec: nops.OpSpec, *, n_runs: int = 20, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     compressed = _compresses(spec, rng)
-    idx = ReuseIndex(m=1)
+    idx = ReuseIndex()
     dim_hit = gen_hit = error = False
     for shapes in _shape_sequence(spec, n_runs):
         cap = spec.capture(shapes, rng)
-        res = idx.observe(spec.name, spec.op_args, cap.in_shapes, cap.relations)
+        tables = []
+        for rel in cap.relations:
+            schema = backward_schema_of(rel.columns)
+            tables.append((provrc.compress(rel, schema), schema))
+        res = idx.observe(spec.name, spec.op_args, cap.in_shapes, tables)
         dim_hit |= res.dim_status == "permanent"
         gen_hit |= res.gen_status == "permanent"
         error |= res.error

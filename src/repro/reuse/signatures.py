@@ -11,13 +11,23 @@ Three mappings, increasingly general (paper §VI):
   dimension, and instantiating new shapes rebuilds the lineage with no
   capture at all.
 
+Every mapping stores and returns finalized ProvRC tables, one
+``(table, schema)`` pair per input, as ``DSLog.register_operation``
+compressed them: the index holds no raw relation and compresses nothing.
+A dim_sig confirmation is ``DataFrame.equals`` on the tables, which is
+exact because ``provrc.compress`` depends only on the relation's row set
+(step 1's first sweep sorts on every column) and is lossless. A gen_sig
+confirmation compares the decompressed instantiation with the
+decompressed table; a gen_sig hit is the instantiated table itself.
+
 ``ReuseIndex`` implements the paper's automatic prediction: temporary
 mappings are stored on first registration and promoted to permanent
-after ``m`` confirming calls (gen_sig additionally requires a different
-shape); a non-matching confirmation marks the signature not-reusable.
-With the paper's ``m = 1``, promotions are cheap but can mispredict —
-``np.cross`` (whose pattern depends on the last-dimension size) is the
-paper's one observed error, reproduced in the tests.
+after one confirming call (the paper's constant m = 1; gen_sig
+additionally requires a different shape); a non-matching confirmation
+marks the signature not-reusable. With m = 1, promotions are cheap but
+can mispredict — ``np.cross`` (whose pattern depends on the
+last-dimension size) is the paper's one observed error, reproduced in the
+tests.
 """
 from __future__ import annotations
 
@@ -26,12 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro.capture.tracked import relations_equal
 from repro.core import provrc
 from repro.core import ranges as rg
-from repro.core.model import LineageSchema, backward_schema_of
+from repro.core.model import LineageSchema
 
 Shapes = tuple[tuple[int, ...], ...]
+Table = tuple[pd.DataFrame, LineageSchema]
 
 
 def _flat_dims(in_shapes: Shapes) -> list[int]:
@@ -86,6 +96,8 @@ def instantiate(gen: GeneralizedTable, in_shapes: Shapes) -> pd.DataFrame:
     old_dims = _flat_dims(gen.captured_shapes)
     if len(dims) != len(old_dims):
         raise ValueError("axis count mismatch")
+    if any(dims[di] < 1 for _, _, di in gen.marks):
+        raise ValueError("full-extent interval on an empty axis")
     out = gen.template.copy()
     for pos, a, di in gen.marks:
         out.loc[pos, rg.hi(a)] = dims[di] - 1
@@ -111,8 +123,7 @@ class ObserveResult:
 class ReuseIndex:
     """Automatic reuse prediction over repeated register_operation calls."""
 
-    def __init__(self, m: int = 1):
-        self.m = m
+    def __init__(self):
         self._dim: dict[tuple, _SigState] = {}
         self._gen: dict[tuple, _SigState] = {}
 
@@ -121,16 +132,17 @@ class ReuseIndex:
         op_name: str,
         op_args: tuple,
         in_shapes: Shapes,
-        relations: list[pd.DataFrame],
+        tables: list[Table],
     ) -> ObserveResult:
         """Register one call's captured lineage; update predictions.
 
-        ``relations`` is the ground-truth captured lineage (one relation
-        per input). Returns hit/error flags for the evaluation harness.
+        ``tables`` is the ground-truth captured lineage, compressed: one
+        finalized ``(table, schema)`` pair per input. Returns hit/error
+        flags for the evaluation harness.
         """
         in_shapes = tuple(tuple(s) for s in in_shapes)
-        res_dim = self._observe_dim(op_name, op_args, in_shapes, relations)
-        res_gen = self._observe_gen(op_name, op_args, in_shapes, relations)
+        res_dim = self._observe_dim(op_name, op_args, in_shapes, tables)
+        res_gen = self._observe_gen(op_name, op_args, in_shapes, tables)
         return ObserveResult(
             dim_status=res_dim[0],
             gen_status=res_gen[0],
@@ -139,35 +151,36 @@ class ReuseIndex:
             error=res_dim[2] or res_gen[2],
         )
 
-    def predict(self, op_name: str, op_args: tuple, in_shapes: Shapes) -> list[pd.DataFrame] | None:
-        """Lineage relations for a call, from a permanent mapping, or None.
+    def predict(self, op_name: str, op_args: tuple, in_shapes: Shapes) -> list[Table] | None:
+        """Compressed lineage for a call, from a permanent mapping, or None.
 
-        dim_sig (same shapes) is tried first, then gen_sig, whose stored
-        tables are re-instantiated for ``in_shapes``.
+        dim_sig (same shapes) is tried first and returns the stored
+        tables themselves (no caller mutates a finalized table), then
+        gen_sig, whose stored tables are re-instantiated for ``in_shapes``.
         """
         in_shapes = tuple(tuple(s) for s in in_shapes)
         st = self._dim.get((op_name, op_args, in_shapes))
         if st is not None and st.status == "permanent":
-            return [r.copy() for r in st.stored]
+            return list(st.stored)
         st = self._gen.get((op_name, op_args))
         if st is not None and st.status == "permanent":
             try:
-                return [provrc.decompress(instantiate(g, in_shapes), g.schema) for g in st.stored]
+                return [(instantiate(g, in_shapes), g.schema) for g in st.stored]
             except ValueError:
                 return None
         return None
 
     # -- dim_sig ---------------------------------------------------------
-    def _observe_dim(self, op, args, shapes, relations):
+    def _observe_dim(self, op, args, shapes, tables):
         key = (op, args, shapes)
         st = self._dim.get(key)
         if st is None:
-            self._dim[key] = _SigState(stored=[r.copy() for r in relations])
+            self._dim[key] = _SigState(stored=list(tables))
             return "pending", False, False
         if st.status == "blocked":
             return "blocked", False, False
-        match = len(st.stored) == len(relations) and all(
-            relations_equal(a, b) for a, b in zip(st.stored, relations)
+        match = len(st.stored) == len(tables) and all(
+            sa == sb and a.equals(b) for (a, sa), (b, sb) in zip(st.stored, tables)
         )
         if st.status == "permanent":
             return ("permanent", True, not match)
@@ -178,15 +191,11 @@ class ReuseIndex:
         return "blocked", False, False
 
     # -- gen_sig ---------------------------------------------------------
-    def _observe_gen(self, op, args, shapes, relations):
+    def _observe_gen(self, op, args, shapes, tables):
         key = (op, args)
         st = self._gen.get(key)
         if st is None:
-            gens = []
-            for rel in relations:
-                schema = backward_schema_of(rel.columns)
-                cdf = provrc.compress(rel, schema)
-                gens.append(generalize(cdf, schema, shapes))
+            gens = [generalize(t, schema, shapes) for t, schema in tables]
             self._gen[key] = _SigState(stored=gens, shapes=shapes)
             return "pending", False, False
         if st.status == "blocked":
@@ -194,7 +203,7 @@ class ReuseIndex:
         if st.status == "pending" and shapes == st.shapes:
             # The paper requires confirming calls with *different* shapes.
             return "pending", False, False
-        match = self._gen_matches(st.stored, shapes, relations)
+        match = self._gen_matches(st.stored, shapes, tables)
         if st.status == "permanent":
             return "permanent", True, not match
         if match:
@@ -204,17 +213,16 @@ class ReuseIndex:
         return "blocked", False, False
 
     @staticmethod
-    def _gen_matches(gens: list[GeneralizedTable], shapes, relations) -> bool:
-        if len(gens) != len(relations):
+    def _gen_matches(gens: list[GeneralizedTable], shapes, tables) -> bool:
+        if len(gens) != len(tables):
             return False
-        for gen, rel in zip(gens, relations):
-            schema = backward_schema_of(rel.columns)
+        for gen, (table, schema) in zip(gens, tables):
             if schema != gen.schema:
                 return False
             try:
                 predicted = provrc.decompress(instantiate(gen, shapes), gen.schema)
             except (ValueError, KeyError):
                 return False
-            if not relations_equal(predicted, rel):
+            if not predicted.equals(provrc.decompress(table, schema)):
                 return False
         return True

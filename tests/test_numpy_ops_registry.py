@@ -10,7 +10,18 @@ import pandas as pd
 import pytest
 
 from repro.capture import numpy_ops as nops
-from repro.capture.tracked import perturbation_capture, relations_equal
+from repro.capture.tracked import perturbation_capture
+
+
+def relations_equal(x: pd.DataFrame, y: pd.DataFrame) -> bool:
+    """True iff ``x`` and ``y`` have the same columns (in any order) and
+    the same set of rows, duplicates ignored."""
+    if set(x.columns) != set(y.columns):
+        return False
+    cols = sorted(x.columns)
+    cx = x[cols].drop_duplicates().sort_values(cols).reset_index(drop=True)
+    cy = y[cols].drop_duplicates().sort_values(cols).reset_index(drop=True)
+    return cx.astype("int64").equals(cy.astype("int64"))
 
 
 def relation_subset(small: pd.DataFrame, big: pd.DataFrame) -> bool:

@@ -13,7 +13,7 @@
   rows as the former pandas passes kept there;
 - ``compress`` is separable on primary-key ranges: ``chunk`` per range,
   concatenated, then ``stitch`` equals ``compress`` row for row;
-- repeated rows compress to the table of the distinct ones.
+- repeated rows, in any order, compress to the table of the distinct ones.
 
 Each schema shape also has a dense strategy (few distinct values per
 axis), so that rows meet and merge in most examples.
@@ -239,16 +239,19 @@ def test_step1_matches_reference(rel, forward):
         relation_dense_2x2,
     ),
     st.booleans(),
+    st.randoms(use_true_random=False),
 )
-def test_repeated_rows_compress_like_distinct_ones(rel, forward):
-    """Every row repeated, the repeats out of order: the same table as
-    the relation without duplicates (step 1 merges identical rows)."""
+def test_repeated_rows_compress_like_distinct_ones(rel, forward, rnd):
+    """Every row repeated, the repeats out of order, and those rows in a
+    random order: the same table as the relation without duplicates
+    (step 1 merges identical rows). ``compress`` depends only on the row
+    set, which the reuse index's dim_sig ``DataFrame.equals`` relies on."""
     schema = _schema_of(rel, forward)
-    distinct = rel.drop_duplicates().reset_index(drop=True)
+    distinct = provrc.compress(rel.drop_duplicates().reset_index(drop=True), schema)
     repeated = pd.concat([rel, rel.iloc[::-1]], ignore_index=True)
-    pd.testing.assert_frame_equal(
-        provrc.compress(repeated, schema), provrc.compress(distinct, schema), check_exact=True
-    )
+    shuffled = repeated.iloc[rnd.sample(range(len(repeated)), len(repeated))]
+    for rows in (repeated, shuffled):
+        pd.testing.assert_frame_equal(provrc.compress(rows, schema), distinct, check_exact=True)
 
 
 def test_empty_relation_roundtrip():

@@ -8,7 +8,7 @@ import pytest
 from repro.capture import numpy_ops as nops
 from repro.capture import patterns as pt
 from repro.core import provrc
-from repro.core.model import backward_schema
+from repro.core.model import backward_schema, backward_schema_of
 from repro.core.ranges import hi, lo, rep
 from repro.reuse import ReuseIndex, generalize, instantiate
 
@@ -86,10 +86,14 @@ class TestReusePredictor:
     def _run(self, index, spec, shapes, seed):
         g = np.random.default_rng(seed)
         cap = spec.capture(shapes, g)
-        return index.observe(spec.name, spec.op_args, cap.in_shapes, cap.relations)
+        tables = []
+        for rel in cap.relations:
+            schema = backward_schema_of(rel.columns)
+            tables.append((provrc.compress(rel, schema), schema))
+        return index.observe(spec.name, spec.op_args, cap.in_shapes, tables)
 
     def test_dim_sig_promoted_for_value_independent(self):
-        idx = ReuseIndex(m=1)
+        idx = ReuseIndex()
         spec = nops.OPS["sum"]
         r1 = self._run(idx, spec, spec.default_shapes, 0)
         assert r1.dim_status == "pending"
@@ -99,14 +103,14 @@ class TestReusePredictor:
         assert r3.dim_hit and not r3.error
 
     def test_dim_sig_blocked_for_sort(self):
-        idx = ReuseIndex(m=1)
+        idx = ReuseIndex()
         spec = nops.OPS["sort"]
         self._run(idx, spec, spec.default_shapes, 0)
         r2 = self._run(idx, spec, spec.default_shapes, 1)
         assert r2.dim_status == "blocked" and not r2.dim_hit
 
     def test_gen_sig_promoted_for_matmul(self):
-        idx = ReuseIndex(m=1)
+        idx = ReuseIndex()
         spec = nops.OPS["matmul"]
         r1 = self._run(idx, spec, spec.default_shapes, 0)
         assert r1.gen_status == "pending"
@@ -117,20 +121,21 @@ class TestReusePredictor:
         assert r3.gen_status == "permanent" and r3.gen_hit and not r3.error
 
     def test_gen_sig_blocked_for_tile(self):
-        idx = ReuseIndex(m=1)
+        idx = ReuseIndex()
         spec = nops.OPS["tile"]
         self._run(idx, spec, spec.default_shapes, 0)
         r2 = self._run(idx, spec, spec.alt_shapes, 1)
         assert r2.gen_status == "blocked"
 
     def test_predict_from_permanent_mappings(self):
-        idx = ReuseIndex(m=1)
+        idx = ReuseIndex()
         spec = nops.OPS["matmul"]
         assert idx.predict(spec.name, spec.op_args, spec.default_shapes) is None
         self._run(idx, spec, spec.default_shapes, 0)
         self._run(idx, spec, spec.alt_shapes, 1)  # gen_sig now permanent
         shapes = ((5, 4), (4, 6))
-        got = idx.predict(spec.name, spec.op_args, shapes)
+        predicted = idx.predict(spec.name, spec.op_args, shapes)
+        got = [provrc.decompress(t, schema) for t, schema in predicted]
         want = spec.capture(shapes, np.random.default_rng(2)).relations
         assert len(got) == len(want) == 2
         for g, w in zip(got, want):
@@ -143,7 +148,7 @@ class TestReusePredictor:
 
     def test_cross_misprediction(self):
         """The paper's one reuse error: cross's pattern flips at dim 2."""
-        idx = ReuseIndex(m=1)
+        idx = ReuseIndex()
         spec = nops.OPS["cross"]
         self._run(idx, spec, ((4, 3), (4, 3)), 0)
         r2 = self._run(idx, spec, ((6, 3), (6, 3)), 1)
