@@ -43,6 +43,7 @@ Every merge performed here preserves that expansion exactly;
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
 
 import numpy as np
@@ -84,6 +85,44 @@ def _pairs(attrs: Iterable[int]) -> list[int]:
     return [r for a in attrs for r in (2 * a, 2 * a + 1)]
 
 
+def _codes(m: np.ndarray) -> tuple[np.ndarray, list[int], dict[int, np.ndarray]]:
+    """The candidate matrix as non-negative int64 codes, one code row per
+    matrix row.
+
+    A row's codes are its values minus the row's minimum, and NaN (an
+    absent representation) is one past the row's maximum, so codes sort
+    and compare as the float values do (NaN last, NaN equal to NaN).
+    Returns the codes, each row's span (one past its largest code) and,
+    for each attribute absent in some column, its absent mask (an
+    attribute's ``lo`` and ``hi`` are absent together). Rows that hold no
+    NaN take one subtraction; only the others pay for NaN handling.
+
+    A ``hi`` row whose codes equal its ``lo`` row's (a scalar attribute,
+    or any fixed width) orders and changes exactly where the ``lo`` row
+    does, so its span is given as 1: sorts leave it out, as they leave
+    out a constant row, and no change mask compares it.
+    """
+    lo_v, hi_v = m.min(axis=1), m.max(axis=1)
+    absent = {}
+    for a in np.flatnonzero(np.isnan(lo_v[0::2])).tolist():
+        absent[a] = np.isnan(m[2 * a])
+        for r in (2 * a, 2 * a + 1):
+            lo_v[r], hi_v[r] = np.fmin.reduce(m[r]), np.fmax.reduce(m[r]) + 1
+            if np.isnan(lo_v[r]):
+                lo_v[r] = hi_v[r] = 0
+    codes = np.empty(m.shape, dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        np.subtract(m, lo_v[:, None], out=codes, casting="unsafe")
+    for a, miss in absent.items():
+        for r in (2 * a, 2 * a + 1):
+            codes[r, miss] = int(hi_v[r] - lo_v[r])
+    spans = [int(h) - int(lo) + 1 for h, lo in zip(hi_v, lo_v)]
+    for r in range(1, len(m), 2):
+        if spans[r] == spans[r - 1] and np.array_equal(codes[r], codes[r - 1]):
+            spans[r] = 1
+    return codes, spans, absent
+
+
 def _encode_key_pass(m: np.ndarray, target: int, n_key: int, n_val: int) -> np.ndarray:
     """One range-encoding pass over key attribute ``target`` (paper §IV.A
     step 2), on and to the candidate matrix.
@@ -100,61 +139,68 @@ def _encode_key_pass(m: np.ndarray, target: int, n_key: int, n_val: int) -> np.n
     tried. Every scan is independently lossless, and per-group selection
     makes the result's rows the same whether the pass runs over the whole
     relation or over pieces that each hold whole groups (``chunk``).
+
+    The matrix becomes int64 codes once (``_codes``), and every ordering
+    sorts and compares those. A scan's output is sorted by the other keys
+    first, so every ordering's output lists the same groups in the same
+    order, and a change mask over it numbers them: no sort is needed to
+    match one ordering's groups to another's.
     """
     if m.shape[1] == 0:
         return m
     (order, mode), *later = _orderings(n_val)
+    coded = _codes(m)
     grp = _pairs(k for k in range(n_key) if k != target)
-    best = _scan_key_pass(m, target, order, mode, n_key, n_val)
-    # A scan's output is sorted by the other keys first, so its group
-    # starts count the groups (the same in every ordering's output).
-    n_groups = int(rg.changed(best, grp).sum())
+    best = _scan_key_pass(m, coded, target, order, mode, n_key, n_val)
+    gid = np.cumsum(rg.changed(best, grp)) - 1
+    n_groups = int(gid[-1]) + 1
     for order, mode in later:
         if best.shape[1] == n_groups:
             break
-        out = _scan_key_pass(m, target, order, mode, n_key, n_val)
-        if not grp:
-            if out.shape[1] < best.shape[1]:
-                best = out
-            continue
-        # Group codes over both outputs at once; ``best`` is unsorted once
-        # a group has been replaced, so they come from one sort of both.
-        both = np.concatenate([best[grp], out[grp]], axis=1)
-        perm = np.lexsort(both[::-1])
-        codes = np.empty(len(perm), dtype=np.int64)
-        codes[perm] = np.cumsum(rg.changed(both.take(perm, axis=1), range(len(grp)))) - 1
-        # Both outputs hold every group, so both counts cover every code.
-        old, new = codes[: best.shape[1]], codes[best.shape[1]:]
-        better = np.bincount(new) < np.bincount(old)
+        out = _scan_key_pass(m, coded, target, order, mode, n_key, n_val)
+        new = np.cumsum(rg.changed(out, grp)) - 1
+        better = np.bincount(new, minlength=n_groups) < np.bincount(gid, minlength=n_groups)
         if better.any():
-            best = np.concatenate(
-                [best.compress(~better[old], axis=1), out.compress(better[new], axis=1)], axis=1
-            )
+            keep, take = ~better[gid], better[new]
+            best = np.concatenate([best.compress(keep, axis=1), out.compress(take, axis=1)], axis=1)
+            gid = np.concatenate([gid[keep], new[take]])
     return best
 
 
-def _after(mask: np.ndarray) -> np.ndarray:
-    """For each index t, the smallest u > t with ``mask[u]`` (n if none)."""
-    return np.append(rg.next_true_at_or_after(mask)[1:], len(mask))
-
-
 def _scan_key_pass(
-    m: np.ndarray, target: int, order: tuple[int, ...], mode: str, n_key: int, n_val: int
+    m: np.ndarray,
+    coded: tuple[np.ndarray, list[int], dict[int, np.ndarray]],
+    target: int,
+    order: tuple[int, ...],
+    mode: str,
+    n_key: int,
+    n_val: int,
 ) -> np.ndarray:
-    """One greedy scan with a fixed sort order (see ``_encode_key_pass``).
+    """One greedy scan with a fixed sort order (see ``_encode_key_pass``);
+    ``coded`` is ``_codes(m)``.
 
     After sorting, a run starting at row ``s`` extends to
 
-        e(s) = min(next_hard_after(s) - 1,
-                   min over v of max(s, max over c of next_brk_after[c](s) - 1))
+        e(s) = min(last_hard(s),
+                   min over v of max(s, max over c of last[c](s)))
 
-    where ``hard`` marks a change of the other keys or a gap in the
-    target, and ``c`` ranges over value ``v``'s candidate representations
-    that are non-null at ``s``: a run may grow as long as every value
-    attribute keeps at least one representation constant. ``e`` is
-    computed for every row at once; the scan then only follows
-    ``s -> e(s) + 1`` from row 0, one step per output row.
+    where ``last_hard(s)`` is the last row before a change of the other
+    keys or a gap in the target, ``last[c](s)`` the last row before
+    candidate ``c`` changes, and ``c`` ranges over value ``v``'s candidate
+    representations that are present at ``s``: a run may grow as long as
+    every value attribute keeps at least one representation constant.
+
+    The sort is one ``ranges.packed_order`` over the codes. Only the rows
+    the scan reads are gathered in sorted order: the target's ``lo`` and
+    ``hi``, the codes, and the present masks. Every change mask compares
+    codes, and one 2-D ``ranges.next_true_at_or_after`` finds every
+    ``last`` at once. ``e`` is computed for every row; the walk then
+    follows ``s -> e(s) + 1`` from row 0, but steps only at rows that
+    start a run of two or more: each stretch of one-row runs before such a
+    row is emitted as one slice. The output columns are gathered from the
+    unsorted matrix.
     """
+    codes, spans, absent = coded
     others = [k for k in range(n_key) if k != target]
     cands = [_candidates(i, n_key, n_val) for i in range(n_val)]
     sort_attrs = list(others)
@@ -162,37 +208,51 @@ def _scan_key_pass(
         sort_attrs += cands[i][1:] if mode == "delta" else cands[i][:1]
     keys = _pairs(sort_attrs) + [2 * target]
     keys += _pairs(c for cs in cands for c in cs if c not in sort_attrs)
-    m = m.take(np.lexsort(m[keys[::-1]]), axis=1)
-    n = m.shape[1]
-
-    t_lo, t_hi = m[2 * target], m[2 * target + 1]
-    hard = rg.changed(m, _pairs(others))
-    hard[1:] |= t_lo[1:] != t_hi[:-1] + 1
-    brk_after = {c: _after(rg.changed(m, _pairs([c]))) for cs in cands for c in cs}
-    notnull = {c: ~np.isnan(m[2 * c]) for c in brk_after}
-
+    perm = rg.packed_order([codes[r] for r in keys], [spans[r] for r in keys])
+    n = len(perm)
     idx = np.arange(n)
-    end = _after(hard) - 1
-    for cs in cands:
-        ext = idx
-        for c in cs:
-            ext = np.where(notnull[c], np.maximum(ext, brk_after[c] - 1), ext)
-        end = np.minimum(end, ext)
 
-    nxt = (end + 1).tolist()
-    starts = []
-    s = 0
-    while s < n:
-        starts.append(s)
-        s = nxt[s]
-    s_arr = np.asarray(starts)
+    # Row 0 of ``brk`` marks a change of the other keys or a gap in the
+    # target between rows t and t + 1, row 1 + i a change of candidate
+    # ``flat[i]``; the last column ends every run.
+    flat = [c for cs in cands for c in cs]
+    t_hi = m[2 * target + 1].take(perm)
+    brk = np.zeros((1 + len(flat), n), dtype=bool)
+    brk[:, -1] = True
+    brk[0, :-1] = m[2 * target].take(perm[1:]) != t_hi[:-1] + 1
+    for i, attrs in enumerate([others] + [[c] for c in flat]):
+        for r in _pairs(attrs):
+            if spans[r] > 1:
+                code = codes[r].take(perm)
+                brk[i, :-1] |= code[1:] != code[:-1]
+    last = rg.next_true_at_or_after(brk)
+    ext = last[1:]
+    if absent:
+        present = np.ones((len(flat), n), dtype=bool)
+        for i, c in enumerate(flat):
+            if c in absent:
+                present[i] = ~absent[c].take(perm)
+        ext = np.where(present, ext, idx)
+    end = np.minimum(last[0], ext.reshape(n_val, n_key + 1, n).max(axis=1).min(axis=0))
+
+    multi = np.flatnonzero(end > idx)
+    multi_l, multi_end = multi.tolist(), end[multi].tolist()
+    pieces = []
+    s = j = 0
+    while (j := bisect_left(multi_l, s, j)) < len(multi_l):
+        pieces.append(idx[s : multi_l[j] + 1])
+        s = multi_end[j] + 1
+    pieces.append(idx[s:])
+    s_arr = np.concatenate(pieces)
     e_arr = end[s_arr]
-    out = m.take(s_arr, axis=1)
+    out = m.take(perm[s_arr], axis=1)
     out[2 * target + 1] = t_hi[e_arr]
     # Null out candidate representations that did not survive their run.
-    for c, brk in brk_after.items():
-        dead = ~(notnull[c][s_arr] & (brk[s_arr] > e_arr))
-        out[2 * c : 2 * c + 2, dead] = np.nan
+    alive = last[1:, s_arr] >= e_arr
+    if absent:
+        alive &= present[:, s_arr]
+    for i, c in enumerate(flat):
+        out[2 * c : 2 * c + 2, ~alive[i]] = np.nan
     return out
 
 
@@ -342,16 +402,17 @@ def decompress(cdf: pd.DataFrame, schema: LineageSchema) -> pd.DataFrame:
     Exact inverse of ``compress`` (losslessness, paper §IV.B): key ranges
     expand Cartesian-style; each value attribute expands from its absolute
     range or as ``key + delta`` per expanded key value. Output columns are
-    ``schema.full_cols`` as int64, deduplicated and sorted.
+    ``schema.full_cols`` as int64, deduplicated and sorted by one
+    ``ranges.distinct_rows`` (a packed sort and an adjacent-row compare,
+    no hashing), with a fresh ``RangeIndex``.
     """
     m = cdf[interval_columns(schema)].to_numpy(np.int64)
     k = 2 * schema.n_key
     row, keys = rg.cartesian(m[:, 0:k:2], m[:, 1:k:2], schema.key_cols)
     vals = absolute_values(m[row, k:], keys, keys)
     row, cells = rg.cartesian(vals[:, 0::2], vals[:, 1::2], schema.val_cols)
-    out = pd.DataFrame(np.hstack([keys[row], cells]), columns=schema.key_cols + schema.val_cols)
-    full = list(schema.full_cols)
-    return rg.sort_rows(out[full].drop_duplicates(), full)
+    parts = [keys[row], cells] if schema.direction == "backward" else [cells, keys[row]]
+    return pd.DataFrame(rg.distinct_rows(np.hstack(parts)), columns=list(schema.full_cols))
 
 
 def encode_query(cells: pd.DataFrame, cols: list[str]) -> pd.DataFrame:

@@ -7,12 +7,14 @@ and the chosen representation's ``lo``/``hi``. Only the candidate matrix
 inside ProvRC's step 2 is float64 with NaN = absent; float64 represents
 integers exactly up to 2**53, far beyond any array index here.
 
-The primitives are whole-column numpy: ``sort_rows`` (a stable
-``np.lexsort`` of a frame, NaN last, for ``decompress`` and
-``intervals_to_cells``), ``changed`` (the NaN-aware change mask over
-matrix rows that step 2 scans with), next-change indices, and the two
-pieces of interval algebra, each on int64 matrices rather than
-frames and each with a single implementation: ``union_sweep``, the
+The primitives are whole-column numpy: ``packed_order`` (a stable sort
+on rows of non-negative int64 codes, folded into as few mixed-radix int64
+keys as fit, for step 2's scans), ``distinct_rows`` (the sorted distinct
+rows of an int64 matrix, by the same packed sort, for ``decompress`` and
+``intervals_to_cells``), ``changed`` (a NaN-aware change mask over
+matrix rows), next-change indices, and the two pieces of interval
+algebra, each on int64 matrices rather than frames and each with a
+single implementation: ``union_sweep``, the
 multi-attribute range encoding (ProvRC step 1, the query encoding Q' and
 the θ-join's merge), and ``cartesian``, the expansion of interval rows
 into cells (``decompress`` and ``intervals_to_cells``), built on the
@@ -23,7 +25,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-import pandas as pd
 
 
 def lo(col: str) -> str:
@@ -52,16 +53,72 @@ def delta(val: str, key: str) -> str:
     return f"{val}__{key}"
 
 
-def sort_rows(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
-    """Rows of ``df`` sorted by ``cols``, stable, NaN last, fresh index.
+_KEY_LIMIT = 1 << 62
 
-    The same order as ``df.sort_values(cols, kind="mergesort")``, from one
-    ``np.lexsort`` over the raw columns instead of pandas' per-column
-    ``Categorical`` codes.
+
+def _packed_keys(codes: Sequence[np.ndarray], spans: Sequence[int]) -> list[np.ndarray]:
+    """Mixed-radix int64 keys over code rows, most significant first.
+
+    ``codes`` are rows of non-negative int64 codes, most significant
+    first, each below its ``spans`` entry. Consecutive rows fold into one
+    key ``key * span + code`` while the key's radix stays within 2**62; a
+    new key starts only where the product would pass that. Constant rows
+    (span 1) order nothing and are left out, so the list may be empty.
+    Comparing the keys lexicographically compares the rows.
     """
-    out = df.take(np.lexsort([df[c].to_numpy() for c in reversed(cols)]))
-    out.index = pd.RangeIndex(len(out))
-    return out
+    keys: list[np.ndarray] = []
+    key, radix = None, 1
+    for code, span in zip(codes, spans):
+        if span == 1:
+            continue
+        if key is not None and radix * span <= _KEY_LIMIT:
+            key, radix = key * span + code, radix * span
+        else:
+            if key is not None:
+                keys.append(key)
+            key, radix = code, span
+    if key is not None:
+        keys.append(key)
+    return keys
+
+
+def packed_order(codes: Sequence[np.ndarray], spans: Sequence[int]) -> np.ndarray:
+    """Stable order sorting by ``codes[0]``, then ``codes[1]``, and so on.
+
+    The same permutation as ``np.lexsort(codes[::-1])``, from one
+    ``np.lexsort`` over the few packed keys of ``_packed_keys`` instead of
+    one stable pass per row. ``codes`` must hold at least one row.
+    """
+    keys = _packed_keys(codes, spans)
+    if not keys:
+        return np.arange(len(codes[0]))
+    return np.lexsort(keys[::-1])
+
+
+def distinct_rows(cells: np.ndarray) -> np.ndarray:
+    """The distinct rows of int64 matrix ``cells``, sorted by column 0,
+    then column 1, and so on.
+
+    Each column's codes are its values minus its minimum; the rows are
+    put in their ``packed_order``, and a row is kept where its packed keys
+    differ from the previous row's. This is ``drop_duplicates`` followed
+    by a stable sort, in one sort and with no hashing.
+    """
+    if len(cells) == 0:
+        return cells
+    base = cells.min(axis=0)
+    codes = np.subtract(cells.T, base[:, None], out=np.empty(cells.shape[::-1], np.int64))
+    spans = [int(h) - int(b) + 1 for h, b in zip(cells.max(axis=0), base)]
+    keys = _packed_keys(codes, spans)
+    if not keys:
+        return cells[:1].copy()
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for key in keys:
+        k = key[order]
+        new[1:] |= k[1:] != k[:-1]
+    return cells[order[new]]
 
 
 def changed(m: np.ndarray, rows: Sequence[int]) -> np.ndarray:
@@ -81,15 +138,16 @@ def changed(m: np.ndarray, rows: Sequence[int]) -> np.ndarray:
 
 
 def next_true_at_or_after(mask: np.ndarray) -> np.ndarray:
-    """For each index t, the smallest u >= t with ``mask[u]`` (n if none).
+    """For each index t, the smallest u >= t with ``mask[u]`` (n if none),
+    along the last axis: a 2-D mask is one row per mask.
 
-    Computed with one reversed running-minimum — O(n), no Python loop.
-    ProvRC step 2 derives every row's candidate run end from these
-    next-change indices in one vectorized expression.
+    Computed with one reversed running minimum, O(n), no Python loop.
+    ProvRC step 2 finds every candidate's next break this way, all
+    candidates in one call.
     """
-    n = len(mask)
+    n = mask.shape[-1]
     idx = np.where(mask, np.arange(n), n)
-    return np.minimum.accumulate(idx[::-1])[::-1]
+    return np.minimum.accumulate(idx[..., ::-1], axis=-1)[..., ::-1]
 
 
 def expand(lo_v: np.ndarray, hi_v: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:

@@ -179,10 +179,10 @@ def intervals_to_cells(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
 
     ``lo``/``hi`` are column slices of one int64 matrix of ``df``'s
     ``lo``/``hi`` pairs; the rows expand with ``ranges.cartesian`` (the
-    Cartesian product of each row's intervals, as in
-    ``provrc.decompress``); duplicates go by hash (``drop_duplicates``)
-    before one ``np.lexsort``.
+    Cartesian product of each row's intervals), and
+    ``ranges.distinct_rows`` sorts the cells and drops duplicates in one
+    packed sort, both as in ``provrc.decompress``.
     """
     m = _matrix(df, [c for a in cols for c in (rg.lo(a), rg.hi(a))])
     _, cells = rg.cartesian(m[:, 0::2], m[:, 1::2], cols)
-    return rg.sort_rows(pd.DataFrame(cells, columns=cols).drop_duplicates(), cols)
+    return pd.DataFrame(rg.distinct_rows(cells), columns=cols)

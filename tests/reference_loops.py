@@ -3,12 +3,14 @@
 These are the straightforward Python loops that ``provrc._scan_key_pass``,
 ``provrc._encode_key_pass`` and ``ranges.union_sweep`` replace with
 whole-column numpy, the cross-product θ-join that
-``theta_join._range_join`` replaces with a sort-based interval join, and
+``theta_join._range_join`` replaces with a sort-based interval join,
 the pandas gaps-and-islands step 1 that ``provrc._encode_values`` and
-``provrc.encode_query`` replace with ``ranges.union_sweep``, and a
-per-step frame driver (one-table ``chain_query`` calls, relabelled
-between steps) for the multi-table ``theta_join.chain_query``, which
-carries one int64 matrix from step to step. The loops address
+``provrc.encode_query`` replace with ``ranges.union_sweep``, the
+``drop_duplicates`` plus ``sort_rows`` that ``ranges.distinct_rows``
+replaces with one packed sort, and a per-step frame loop (one-table
+``chain_query`` calls, relabelled between steps) for the multi-table
+``theta_join.chain_query``, which carries one int64 matrix from step to
+step. The loops address
 attributes by name (``_candidates``, ``_orderings`` and ``_changed`` are
 the name-based forms of the kernel's index-based helpers), on frames
 whose columns the kernel's matrices carry as rows. Tests compare the two
@@ -44,6 +46,15 @@ def _changed(df: pd.DataFrame, attrs: list[str]) -> np.ndarray:
     """``ranges.changed`` over the ``lo``/``hi`` columns of ``attrs``."""
     m = df[[c for a in attrs for c in (rg.lo(a), rg.hi(a))]].to_numpy().T
     return rg.changed(m, range(len(m)))
+
+
+def sort_rows(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
+    """Rows of ``df`` sorted by ``cols``, stable, NaN last, fresh index:
+    ``df.sort_values(cols, kind="mergesort")`` from one ``np.lexsort`` over
+    the raw columns."""
+    out = df.take(np.lexsort([df[c].to_numpy() for c in reversed(cols)]))
+    out.index = pd.RangeIndex(len(out))
+    return out
 
 
 def to_intervals(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:

@@ -135,9 +135,9 @@ class TestStep2:
         targets = []
         scan = provrc._scan_key_pass
 
-        def counting(m, target, *args):
+        def counting(m, coded, target, *args):
             targets.append(target)
-            return scan(m, target, *args)
+            return scan(m, coded, target, *args)
 
         monkeypatch.setattr(provrc, "_scan_key_pass", counting)
         cdf = provrc.compress(pt.identity((12, 12)), backward_schema(2, 2))

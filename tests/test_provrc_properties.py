@@ -31,6 +31,7 @@ from tests.reference_loops import (
     encode_values_reference,
     range_encode,
     scan_key_pass_loop,
+    sort_rows,
 )
 
 relation_1x1 = st.lists(
@@ -160,15 +161,21 @@ def test_roundtrip_2x2(rel):
     False,
     2,
 )
+@example(pd.DataFrame({"b0": range(10), "a0": [5, 11, 2, 3, 4, 9, 7, 8, 0, 20]}), False, 0)
+@example(pd.DataFrame({"b0": range(8), "a0": [3, 7, 0, 5, 1, 6, 2, 4]}), False, 0)
 def test_scan_matches_loop_reference(rel, forward, min_wins):
     """Every ordering's scan, and each whole key pass, on the candidate
     forms ``compress`` feeds them (later passes see NaN candidates).
 
     In some key pass, at least ``min_wins`` orderings after the first
     each give some group fewer rows than every ordering before them. The
-    explicit example has two such orderings in its ``b1`` pass, so the
-    second replaces a group once the pass's best rows are no longer
-    sorted by group."""
+    first explicit example has two such orderings in its ``b1`` pass, so
+    the second replaces a group once the pass's best rows are no longer
+    sorted by group. In the second, the target-first scan has one-row
+    runs before, between and after its two delta runs (``b0`` 2–4 and
+    6–7), two of them at each end. The third is a permutation with no
+    two neighbours on a common delta or value: every row is a run of its
+    own in every ordering."""
     schema = _schema_of(rel, forward)
     n_key, n_val = schema.n_key, schema.n_val
     cols = provrc.candidate_columns(schema)
@@ -184,8 +191,9 @@ def test_scan_matches_loop_reference(rel, forward, min_wins):
         grp = [c for k in others for c in (rg.lo(k), rg.hi(k))]
         args = (schema.val_cols, schema.key_cols)
         fewest, wins = None, 0
+        coded = provrc._codes(work)
         for order, mode in provrc._orderings(n_val):
-            got = provrc._scan_key_pass(work, j, order, mode, n_key, n_val)
+            got = provrc._scan_key_pass(work, coded, j, order, mode, n_key, n_val)
             names = tuple(schema.val_cols[i] for i in order)
             want = scan_key_pass_loop(frame(work), target, others, names, *args, mode)
             pd.testing.assert_frame_equal(frame(got), want, check_exact=True)
@@ -216,7 +224,7 @@ def test_step1_matches_reference(rel, forward):
     schema = _schema_of(rel, forward)
 
     def rows(df):
-        return rg.sort_rows(df, list(df.columns))
+        return sort_rows(df, list(df.columns))
 
     got = pd.DataFrame(provrc._encode_values(rel, schema).T, columns=provrc.candidate_columns(schema))
     want = encode_values_reference(rel, schema)

@@ -4,8 +4,9 @@ import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import provrc
 from repro.core import ranges as rg
-from tests.reference_loops import union_sweep_loop
+from tests.reference_loops import sort_rows, union_sweep_loop
 
 
 class TestNaming:
@@ -36,6 +37,10 @@ class TestNextTrue:
         mask = np.array([False, True, False, False, True, False])
         got = rg.next_true_at_or_after(mask)
         assert got.tolist() == [1, 1, 4, 4, 4, 6]
+
+    def test_rows_of_a_2d_mask(self):
+        mask = np.array([[False, True, False], [True, False, False]])
+        assert rg.next_true_at_or_after(mask).tolist() == [[1, 1, 3], [0, 3, 3]]
 
     def test_all_false(self):
         assert rg.next_true_at_or_after(np.zeros(3, dtype=bool)).tolist() == [3, 3, 3]
@@ -125,3 +130,113 @@ class TestGroupChanged:
         assert rg.changed(m, [0, 1, 2, 3]).tolist() == [True, False, True]
         assert rg.changed(m, [0, 1]).tolist() == [True, False, False]
         assert rg.changed(m, []).tolist() == [True, False, False]
+
+
+def _int_codes(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Codes and spans of an int64 matrix's rows: value minus row minimum."""
+    if m.shape[1] == 0:
+        return m, [1] * len(m)
+    base = m.min(axis=1)
+    return m - base[:, None], [int(h) - int(b) + 1 for h, b in zip(m.max(axis=1), base)]
+
+
+# Small values, and values near ±2**40: a row holding both spans about
+# 2**41, so two such rows need two packed keys.
+_int_values = st.one_of(
+    st.integers(-3, 3), st.integers(2**40 - 3, 2**40 + 3), st.integers(-(2**40) - 3, -(2**40) + 3)
+)
+
+
+@st.composite
+def int_matrices(draw):
+    """int64 matrices of 1–4 rows and 0–30 columns."""
+    n_rows, n = draw(st.integers(1, 4)), draw(st.integers(0, 30))
+    row = st.lists(_int_values, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    return np.array(rows, dtype=np.int64).reshape(n_rows, n)
+
+
+@st.composite
+def candidate_matrices(draw):
+    """Float64 matrices shaped like step 2's candidate matrix: 1–4
+    attributes, each a ``lo`` and a ``hi`` row absent (NaN) together in
+    some columns, in none or in all; some rows constant; integer values
+    small or near ±2**52, where float64 still holds every integer, so a
+    row can span about 2**53."""
+    n_attr, n = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    values = st.integers(-3, 3).flatmap(
+        lambda v: st.sampled_from([v, 2**52 - 4 + v, -(2**52) + 4 + v])
+    )
+    m = np.empty((2 * n_attr, n))
+    for a in range(n_attr):
+        for r in (2 * a, 2 * a + 1):
+            if draw(st.booleans()):
+                m[r] = draw(values)
+            else:
+                m[r] = draw(st.lists(values, min_size=n, max_size=n))
+        absent = draw(st.sampled_from(["none", "some", "all"]))
+        if absent == "all":
+            m[2 * a : 2 * a + 2] = np.nan
+        elif absent == "some":
+            miss = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            m[2 * a : 2 * a + 2, miss] = np.nan
+    return m
+
+
+class TestPackedOrder:
+    """``packed_order`` over codes is ``np.lexsort`` over the raw rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(candidate_matrices())
+    def test_float_candidate_codes(self, m):
+        """``provrc._codes`` keeps every row's order and equalities:
+        NaN sorts last and equals NaN."""
+        codes, spans, absent = provrc._codes(m)
+        assert (codes >= 0).all()
+        for r, span in enumerate(spans):
+            if span == 1 and r % 2:
+                assert (codes[r] == codes[r - 1]).all() or (codes[r] == 0).all()
+            else:
+                assert codes[r].max() < span
+        assert rg.packed_order(list(codes), spans).tolist() == np.lexsort(m[::-1]).tolist()
+        same = (m[:, 1:] == m[:, :-1]) | (np.isnan(m[:, 1:]) & np.isnan(m[:, :-1]))
+        assert ((codes[:, 1:] == codes[:, :-1]) == same).all()
+        assert sorted(absent) == [a for a in range(len(m) // 2) if np.isnan(m[2 * a]).any()]
+        for a, miss in absent.items():
+            assert (miss == np.isnan(m[2 * a])).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices())
+    def test_int_codes(self, m):
+        codes, spans = _int_codes(m)
+        assert rg.packed_order(list(codes), spans).tolist() == np.lexsort(m[::-1]).tolist()
+
+    def test_a_new_key_starts_only_past_2_62(self):
+        wide = np.array([0, 2**41])
+        codes = [wide, wide, np.array([0, 1]), np.array([0, 0])]
+        keys = rg._packed_keys(codes, [2**41 + 1, 2**41 + 1, 2, 1])
+        assert len(keys) == 2
+        assert len(rg._packed_keys([np.array([0, 3])] * 5, [4] * 5)) == 1
+        assert rg._packed_keys([np.array([0, 0])], [1]) == []
+
+    def test_zero_and_one_column(self):
+        assert rg.packed_order([np.empty(0, np.int64)], [1]).tolist() == []
+        assert rg.packed_order([np.empty(0, np.int64)], [5]).tolist() == []
+        codes, spans, _ = provrc._codes(np.array([[np.nan], [np.nan], [7.0], [7.0]]))
+        assert codes.tolist() == [[0], [0], [0], [0]] and spans == [1, 1, 1, 1]
+        assert rg.packed_order(list(codes), spans).tolist() == [0]
+
+
+class TestDistinctRows:
+    """``distinct_rows`` equals pandas ``drop_duplicates`` plus a stable
+    sort, including the index, the dtypes and the empty case."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(), st.integers(0, 3))
+    def test_matches_drop_duplicates_then_sort(self, m, dup):
+        cells = np.concatenate([m.T] + [m.T[::-1]] * dup)
+        cols = [f"c{j}" for j in range(cells.shape[1])]
+        got = pd.DataFrame(rg.distinct_rows(cells), columns=cols)
+        want = sort_rows(pd.DataFrame(cells, columns=cols).drop_duplicates(), cols)
+        assert got.equals(want) and list(got.dtypes) == list(want.dtypes)
+        assert got.index.equals(want.index)
