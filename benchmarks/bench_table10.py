@@ -1,18 +1,11 @@
 """Table X benchmark: simulated Kaggle workflow study (10 notebooks per
 dataset profile)."""
-from repro.workflows.kaggle_sim import run_study
+from repro.workflows.kaggle_sim import format_table, run_study
 
 
 def test_table10_study(benchmark):
     df = benchmark.pedantic(lambda: run_study(10, seed=0), rounds=1, iterations=1)
-    print()
-    for _, r in df.iterrows():
-        print(
-            f"{r['dataset']:<9} total {r['total_mean']:5.1f}±{r['total_std']:<5.1f} "
-            f"compress {r['compress_mean']:5.1f}±{r['compress_std']:<5.1f} "
-            f"({r['pct_mean']:4.1f}±{r['pct_std']:4.1f}%) "
-            f"chain {r['chain_mean']:4.1f}±{r['chain_std']:<4.1f}"
-        )
+    print("\n" + format_table(df))
     flight = df[df["dataset"] == "Flight"].iloc[0]
     netflix = df[df["dataset"] == "Netflix"].iloc[0]
     assert flight["pct_mean"] > netflix["pct_mean"] > 55

@@ -4,23 +4,14 @@ Usage: python jobs/table10_workflows.py [--notebooks 10]
 """
 import argparse
 
-from repro.workflows.kaggle_sim import run_study
+from repro.workflows.kaggle_sim import format_table, run_study
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--notebooks", type=int, default=10)
     args = ap.parse_args()
-    df = run_study(args.notebooks, seed=0)
-    print(f"{'Dataset':<9}{'Total Op.':>18}{'Compress Abs':>18}{'(%)':>16}{'Longest Chain':>18}")
-    for _, r in df.iterrows():
-        print(
-            f"{r['dataset']:<9}"
-            f"{r['total_mean']:>9.1f} ± {r['total_std']:<6.1f}"
-            f"{r['compress_mean']:>9.1f} ± {r['compress_std']:<6.1f}"
-            f"{r['pct_mean']:>8.1f} ± {r['pct_std']:<5.1f}"
-            f"{r['chain_mean']:>9.1f} ± {r['chain_std']:<6.1f}"
-        )
+    print(format_table(run_study(args.notebooks, seed=0)))
 
 
 if __name__ == "__main__":

@@ -3,15 +3,22 @@
 All writers take the full lineage relation as a pandas DataFrame of int64
 index columns and return the file size in bytes; readers return the
 relation. Sizes on these files are the Abs(MB) columns of Table VII.
+``write_baselines`` writes one relation in every DPSM baseline format, and
+``provrc_compressible`` is the compressibility rule of Tables IX and X.
 """
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from repro.baselines.turborc import write_turborc
+from repro.core import provrc, storage
+from repro.core.model import backward_schema_of
 
 
 def write_raw(df: pd.DataFrame, path: str | Path) -> int:
@@ -50,3 +57,31 @@ def write_parquet(df: pd.DataFrame, path: str | Path, *, codec: str = "snappy") 
 
 def read_parquet(path: str | Path) -> pd.DataFrame:
     return pq.read_table(path).to_pandas()
+
+
+def write_baselines(rel: pd.DataFrame, stem: str | Path) -> dict[str, tuple[Path, int]]:
+    """Write ``rel`` in each DPSM baseline format as ``stem`` plus that
+    format's suffix; returns each format's (path, bytes on disk)."""
+    writers = {
+        "Raw": (".csv", write_raw),
+        "Array": (".npy", write_array),
+        "Parquet": (".parquet", write_parquet),
+        "Parquet-GZip": (".gz.parquet", partial(write_parquet, codec="gzip")),
+        "Turbo-RC": (".trc", write_turborc),
+    }
+    out = {}
+    for fmt, (suffix, write) in writers.items():
+        path = Path(f"{stem}{suffix}")
+        out[fmt] = path, write(rel, path)
+    return out
+
+
+def provrc_compressible(relations: list[pd.DataFrame]) -> bool:
+    """The paper's compressibility rule (Tables IX and X): the ProvRC
+    binary of the relations' backward tables is under 0.5x their raw CSV."""
+    provrc_bytes = raw_bytes = 0
+    for rel in relations:
+        schema = backward_schema_of(rel.columns)
+        provrc_bytes += len(storage.serialize(provrc.compress(rel, schema), schema))
+        raw_bytes += len(rel.to_csv(index=False).encode())
+    return provrc_bytes < 0.5 * raw_bytes

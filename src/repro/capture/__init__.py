@@ -17,4 +17,3 @@ capture methods, all rebuilt here:
 - ``explain``: LIME / D-RISE-style saliency capture over a synthetic
   detector (see DESIGN.md substitutions).
 """
-from repro.capture.model import CapturedLineage  # noqa: F401

@@ -17,5 +17,3 @@ Modules:
 - ``storage``: the on-disk binary format for compressed tables and its
   GZip variant (ProvRC / ProvRC-GZip in Table VII).
 """
-from repro.core.model import LineageSchema, backward_schema, forward_schema  # noqa: F401
-from repro.core.provrc import compress, decompress, encode_query, finalize  # noqa: F401

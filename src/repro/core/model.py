@@ -86,3 +86,13 @@ def forward_schema(n_out: int, n_in: int) -> LineageSchema:
         val_cols=tuple(out_axis(j) for j in range(n_out)),
         direction="forward",
     )
+
+
+def schema_of(direction: str, n_key: int, n_val: int) -> LineageSchema:
+    """The schema a stored table declares by its direction and its
+    numbers of key and value attributes."""
+    if direction == "backward":
+        return backward_schema(n_key, n_val)
+    if direction == "forward":
+        return forward_schema(n_val, n_key)
+    raise ValueError(f"unknown lineage direction {direction!r}")

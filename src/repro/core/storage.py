@@ -43,7 +43,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core import ranges as rg
-from repro.core.model import LineageSchema, backward_schema, forward_schema
+from repro.core.model import LineageSchema, schema_of
 from repro.core.provrc import interval_columns
 
 _MAGIC = b"PRVC"
@@ -150,11 +150,7 @@ def deserialize(buf: bytes) -> tuple[pd.DataFrame, LineageSchema]:
         raise ValueError(f"unsupported ProvRC file version {version} (expected {_VERSION})")
     if direction not in (0, 1):
         raise ValueError(f"corrupt ProvRC file: direction byte {direction}")
-    schema = (
-        backward_schema(n_key, n_val)
-        if direction == 0
-        else forward_schema(n_val, n_key)
-    )
+    schema = schema_of(("backward", "forward")[direction], n_key, n_val)
     dtypes = [dtype for _, dtype in _streams(schema)]
     streams = []
     off = 16

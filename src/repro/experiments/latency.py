@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 
-from repro.baselines.formats import write_array, write_parquet, write_raw
-from repro.baselines.turborc import write_turborc
+from repro.baselines.formats import write_baselines
 from repro.core import provrc, storage
 from repro.core.model import forward_schema
 from repro.experiments.table7 import capture_order
@@ -35,33 +34,22 @@ SYSTEMS = [
 ]
 
 
-def prepare(steps: list[PipelineStep], workdir: str | Path) -> dict:
-    """Materialize every storage format for each step of the pipeline."""
+def prepare(steps: list[PipelineStep], workdir: str | Path) -> dict[str, list[Path]]:
+    """Materialize every storage format for each step of the pipeline;
+    returns each system's file per step."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, list[Path]] = {f: [] for f in SYSTEMS if f != "DSLog-NoMerge"}
     for i, s in enumerate(steps):
         stem = workdir / f"step{i}"
-        n_out, n_in = len(s.out_shape), len(s.in_shape)
-        schema = forward_schema(n_out, n_in)
+        schema = forward_schema(len(s.out_shape), len(s.in_shape))
         # Storage order = capture emission order (see table7.capture_order).
-        s = PipelineStep(
-            s.name, s.in_shape, s.out_shape, capture_order(s.relation)
-        )
-        cdf = provrc.compress(s.relation, schema)
-        storage.write(cdf, schema, f"{stem}.prc.gz", gzipped=True)
+        rel = capture_order(s.relation)
+        storage.write(provrc.compress(rel, schema), schema, f"{stem}.prc.gz", gzipped=True)
         paths["DSLog"].append(Path(f"{stem}.prc.gz"))
-        write_raw(s.relation, f"{stem}.csv")
-        paths["Raw"].append(Path(f"{stem}.csv"))
-        write_parquet(s.relation, f"{stem}.parquet", codec="snappy")
-        paths["Parquet"].append(Path(f"{stem}.parquet"))
-        write_parquet(s.relation, f"{stem}.gz.parquet", codec="gzip")
-        paths["Parquet-GZip"].append(Path(f"{stem}.gz.parquet"))
-        write_turborc(s.relation, f"{stem}.trc")
-        paths["Turbo-RC"].append(Path(f"{stem}.trc"))
-        write_array(s.relation, f"{stem}.npy")
-        paths["Array"].append(Path(f"{stem}.npy"))
-    return {"paths": paths, "steps": steps}
+        for fmt, (path, _) in write_baselines(rel, stem).items():
+            paths[fmt].append(path)
+    return paths
 
 
 def make_query(shape: tuple[int, int], n_rows: int, seed: int) -> pd.DataFrame:
@@ -75,9 +63,10 @@ def make_query(shape: tuple[int, int], n_rows: int, seed: int) -> pd.DataFrame:
     return pd.DataFrame({"a0": rr, "a1": cc})
 
 
-def run_one(system: str, prep: dict, q_cells: pd.DataFrame, shape) -> tuple[float, int]:
+def run_one(
+    system: str, paths: dict[str, list[Path]], q_cells: pd.DataFrame, shape
+) -> tuple[float, int]:
     """Execute one query; returns (seconds, result cell count)."""
-    paths = prep["paths"]
     t0 = time.perf_counter()
     if system in ("DSLog", "DSLog-NoMerge"):
         tables = [storage.read(p) for p in paths["DSLog"]]
@@ -104,17 +93,15 @@ def run_latency(
     query_rows: tuple[int, ...] = (2, 20, 200),
     systems: list[str] | None = None,
     seed: int = 0,
-    balanced: bool = True,
 ) -> pd.DataFrame:
     """One random numpy pipeline; queries at several selectivities."""
-    steps = random_numpy_pipeline(n_ops, shape=shape, seed=seed, balanced=balanced)
-    prep = prepare(steps, workdir)
+    paths = prepare(random_numpy_pipeline(n_ops, shape=shape, seed=seed), workdir)
     rows = []
     for qr in query_rows:
         q_cells = make_query(shape, qr, seed + qr)
         expected = None
         for system in systems or SYSTEMS:
-            secs, n_cells = run_one(system, prep, q_cells, shape)
+            secs, n_cells = run_one(system, paths, q_cells, shape)
             if expected is None:
                 expected = n_cells
             rows.append(

@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 
-from repro.baselines.formats import write_array, write_parquet, write_raw
-from repro.baselines.turborc import write_turborc
+from repro.baselines.formats import write_baselines
 from repro.capture import patterns as pt
 from repro.capture.explain import drise_capture, lime_capture
 from repro.core import provrc, storage
@@ -132,11 +131,8 @@ def measure_op(op: str, relations: list[pd.DataFrame], out_dir: Path) -> dict[st
     for i, rel in enumerate(relations):
         rel = capture_order(rel)
         stem = out_dir / f"{op.replace('*', 'x').replace(' ', '_')}_{i}"
-        sizes["Raw"] += write_raw(rel, f"{stem}.csv")
-        sizes["Array"] += write_array(rel, f"{stem}.npy")
-        sizes["Parquet"] += write_parquet(rel, f"{stem}.parquet", codec="snappy")
-        sizes["Parquet-GZip"] += write_parquet(rel, f"{stem}.gz.parquet", codec="gzip")
-        sizes["Turbo-RC"] += write_turborc(rel, f"{stem}.trc")
+        for fmt, (_, n_bytes) in write_baselines(rel, stem).items():
+            sizes[fmt] += n_bytes
         schema = backward_schema_of(rel.columns)
         cdf = provrc.compress(rel, schema)
         sizes["ProvRC"] += storage.write(cdf, schema, f"{stem}.prc")

@@ -19,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.baselines.formats import provrc_compressible
 from repro.capture import numpy_ops as nops
-from repro.core import provrc, storage
+from repro.core import provrc
 from repro.core.model import backward_schema_of
 from repro.reuse.signatures import ReuseIndex
 
@@ -42,31 +43,17 @@ def _shape_sequence(spec: nops.OpSpec, n_runs: int):
     return seq
 
 
-def _compress_shapes(spec: nops.OpSpec, factor: int = 8):
-    """Larger shapes for the compression criterion so the verdict is not
-    dominated by the fixed file header at the tiny reuse-eval shapes.
+def _compress_shapes(spec: nops.OpSpec):
+    """8x larger shapes for the compression criterion so the verdict is
+    not dominated by the fixed file header at the tiny reuse-eval shapes.
     Semantic dims (cross's 3-vectors, singleton axes, kernel-ish dims)
     stay fixed: only dims > 3 scale."""
-    return tuple(
-        tuple(d * factor if d > 3 else d for d in s) for s in spec.default_shapes
-    )
-
-
-def _compresses(spec: nops.OpSpec, rng) -> bool:
-    cap = spec.capture(_compress_shapes(spec), rng)
-    provrc_bytes = 0
-    raw_bytes = 0
-    for rel in cap.relations:
-        schema = backward_schema_of(rel.columns)
-        cdf = provrc.compress(rel, schema)
-        provrc_bytes += len(storage.serialize(cdf, schema))
-        raw_bytes += len(rel.to_csv(index=False).encode())
-    return provrc_bytes < 0.5 * raw_bytes
+    return tuple(tuple(d * 8 if d > 3 else d for d in s) for s in spec.default_shapes)
 
 
 def evaluate_op(spec: nops.OpSpec, *, n_runs: int = 20, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
-    compressed = _compresses(spec, rng)
+    compressed = provrc_compressible(spec.capture(_compress_shapes(spec), rng).relations)
     idx = ReuseIndex()
     dim_hit = gen_hit = error = False
     for shapes in _shape_sequence(spec, n_runs):

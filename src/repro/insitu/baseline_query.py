@@ -19,6 +19,10 @@ from repro.baselines.formats import read_array
 from repro.baselines.turborc import read_turborc
 
 
+# Stored tuples tested per vectorized membership pass of the Array baseline.
+_BATCH_TUPLES = 1_000_000
+
+
 def _axis_cols(n_axes: int, side: str) -> list[str]:
     return [f"{side}{i}" for i in range(n_axes)]
 
@@ -82,8 +86,6 @@ def array_chain_query(
     paths: list[str | Path],
     query_cells: pd.DataFrame,
     shape: tuple[int, ...],
-    *,
-    batch: int = 1000,
 ) -> pd.DataFrame:
     """The Array baseline: per step, vectorized membership of the current
     cell set against the stored tuple array (batched, as in the paper)."""
@@ -95,8 +97,8 @@ def array_chain_query(
         b_idx = tuple(arr[:, i] for i in range(n_axes))
         a_idx = tuple(arr[:, n_axes + i] for i in range(n_axes))
         nxt = np.zeros(shape, dtype=bool)
-        for s in range(0, len(arr), max(batch, 1) * 1000):
-            e = s + max(batch, 1) * 1000
+        for s in range(0, len(arr), _BATCH_TUPLES):
+            e = s + _BATCH_TUPLES
             sel = cur[tuple(ix[s:e] for ix in a_idx)]
             hit = tuple(ix[s:e][sel] for ix in b_idx)
             nxt[hit] = True

@@ -27,7 +27,7 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core import ranges as rg
-from repro.core.model import LineageSchema, backward_schema, forward_schema
+from repro.core.model import LineageSchema, schema_of
 from repro.core.provrc import interval_columns
 
 
@@ -69,9 +69,7 @@ def write_store(cdf: DataFrame, schema: LineageSchema, path: str | Path) -> None
 
 def read_schema(path: str | Path) -> LineageSchema:
     meta = json.loads((Path(path) / "schema.json").read_text())
-    if meta["direction"] == "backward":
-        return backward_schema(meta["n_key"], meta["n_val"])
-    return forward_schema(meta["n_val"], meta["n_key"])
+    return schema_of(meta["direction"], meta["n_key"], meta["n_val"])
 
 
 def open_store(spark: SparkSession, path: str | Path) -> tuple[DataFrame, LineageSchema]:

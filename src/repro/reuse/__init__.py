@@ -1,8 +1,2 @@
 """Lineage reuse (paper §VI): operation signatures, index reshaping, and
 automatic reuse prediction."""
-from repro.reuse.signatures import (  # noqa: F401
-    GeneralizedTable,
-    ReuseIndex,
-    generalize,
-    instantiate,
-)

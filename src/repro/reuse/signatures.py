@@ -1,8 +1,7 @@
 """Operation signatures, index reshaping, and automatic reuse prediction.
 
-Three mappings, increasingly general (paper §VI):
+Two mappings, the second more general (paper §VI):
 
-- ``base_sig(op, in_arrs, args)``      — reuse for identical named inputs;
 - ``dim_sig(op, in_shapes, args)``     — reuse when only shapes match
   (lineage is value-independent);
 - ``gen_sig(op, args)``                — reuse for *any* input shape via
@@ -113,10 +112,8 @@ class _SigState:
 
 @dataclass
 class ObserveResult:
-    dim_status: str
+    dim_status: str  # "permanent" is a hit, as in ``predict``
     gen_status: str
-    dim_hit: bool = False
-    gen_hit: bool = False
     error: bool = False  # a permanent mapping predicted wrong lineage
 
 
@@ -137,19 +134,13 @@ class ReuseIndex:
         """Register one call's captured lineage; update predictions.
 
         ``tables`` is the ground-truth captured lineage, compressed: one
-        finalized ``(table, schema)`` pair per input. Returns hit/error
-        flags for the evaluation harness.
+        finalized ``(table, schema)`` pair per input. Returns each
+        mapping's status and the error flag for the evaluation harness.
         """
         in_shapes = tuple(tuple(s) for s in in_shapes)
-        res_dim = self._observe_dim(op_name, op_args, in_shapes, tables)
-        res_gen = self._observe_gen(op_name, op_args, in_shapes, tables)
-        return ObserveResult(
-            dim_status=res_dim[0],
-            gen_status=res_gen[0],
-            dim_hit=res_dim[1],
-            gen_hit=res_gen[1],
-            error=res_dim[2] or res_gen[2],
-        )
+        dim_status, dim_error = self._observe_dim(op_name, op_args, in_shapes, tables)
+        gen_status, gen_error = self._observe_gen(op_name, op_args, in_shapes, tables)
+        return ObserveResult(dim_status, gen_status, dim_error or gen_error)
 
     def predict(self, op_name: str, op_args: tuple, in_shapes: Shapes) -> list[Table] | None:
         """Compressed lineage for a call, from a permanent mapping, or None.
@@ -176,19 +167,16 @@ class ReuseIndex:
         st = self._dim.get(key)
         if st is None:
             self._dim[key] = _SigState(stored=list(tables))
-            return "pending", False, False
+            return "pending", False
         if st.status == "blocked":
-            return "blocked", False, False
+            return "blocked", False
         match = len(st.stored) == len(tables) and all(
             sa == sb and a.equals(b) for (a, sa), (b, sb) in zip(st.stored, tables)
         )
         if st.status == "permanent":
-            return ("permanent", True, not match)
-        if match:
-            st.status = "permanent"
-            return "permanent", True, False
-        st.status = "blocked"
-        return "blocked", False, False
+            return "permanent", not match
+        st.status = "permanent" if match else "blocked"
+        return st.status, False
 
     # -- gen_sig ---------------------------------------------------------
     def _observe_gen(self, op, args, shapes, tables):
@@ -197,20 +185,17 @@ class ReuseIndex:
         if st is None:
             gens = [generalize(t, schema, shapes) for t, schema in tables]
             self._gen[key] = _SigState(stored=gens, shapes=shapes)
-            return "pending", False, False
+            return "pending", False
         if st.status == "blocked":
-            return "blocked", False, False
+            return "blocked", False
         if st.status == "pending" and shapes == st.shapes:
             # The paper requires confirming calls with *different* shapes.
-            return "pending", False, False
+            return "pending", False
         match = self._gen_matches(st.stored, shapes, tables)
         if st.status == "permanent":
-            return "permanent", True, not match
-        if match:
-            st.status = "permanent"
-            return "permanent", True, False
-        st.status = "blocked"
-        return "blocked", False, False
+            return "permanent", not match
+        st.status = "permanent" if match else "blocked"
+        return st.status, False
 
     @staticmethod
     def _gen_matches(gens: list[GeneralizedTable], shapes, tables) -> bool:

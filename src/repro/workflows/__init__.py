@@ -1,10 +1,2 @@
 """Evaluation workflows (paper §VII.D, Table VIII) and the Kaggle
 notebook simulation (§VII.F, Table X)."""
-from repro.workflows.pipelines import (  # noqa: F401
-    PipelineStep,
-    compress_pipeline,
-    image_pipeline,
-    random_numpy_pipeline,
-    relational_pipeline,
-    resnet_pipeline,
-)

@@ -23,9 +23,8 @@ from functools import lru_cache
 import numpy as np
 import pandas as pd
 
+from repro.baselines.formats import provrc_compressible
 from repro.capture import patterns as pt
-from repro.core import provrc, storage
-from repro.core.model import backward_schema_of
 
 
 def _value_filter_rel(n: int, seed: int) -> pd.DataFrame:
@@ -82,12 +81,7 @@ PROFILES = {
 @lru_cache(maxsize=None)
 def kind_is_compressible(kind: str) -> bool:
     """Run ProvRC on the kind's small instance; apply the <0.5 criterion."""
-    rel = CATALOG[kind]()
-    schema = backward_schema_of(rel.columns)
-    cdf = provrc.compress(rel, schema)
-    provrc_bytes = len(storage.serialize(cdf, schema))
-    raw_bytes = len(rel.to_csv(index=False).encode())
-    return provrc_bytes < 0.5 * raw_bytes
+    return provrc_compressible([CATALOG[kind]()])
 
 
 @dataclass
@@ -101,9 +95,10 @@ class NotebookStats:
         return 100.0 * self.compressible / self.total_ops
 
 
-def simulate_notebook(profile: str, seed: int) -> NotebookStats:
+def simulate_notebook(profile: str, seed: int | tuple[int, ...]) -> NotebookStats:
     """One synthetic notebook: op count ~ the paper's spread (~55 +/- 37),
-    chains drawn geometrically, kinds drawn from the profile mix."""
+    chains drawn geometrically, kinds drawn from the profile mix. ``seed``
+    is any ``np.random.default_rng`` seed."""
     g = np.random.default_rng(seed)
     kinds = list(PROFILES[profile])
     weights = np.array([PROFILES[profile][k] for k in kinds])
@@ -124,43 +119,42 @@ def simulate_notebook(profile: str, seed: int) -> NotebookStats:
     return NotebookStats(total, compressible, max(chains))
 
 
+def _summary_row(dataset: str, stats: list[NotebookStats]) -> dict:
+    row = {"dataset": dataset}
+    for name, values in (
+        ("total", [s.total_ops for s in stats]),
+        ("compress", [s.compressible for s in stats]),
+        ("pct", [s.pct for s in stats]),
+        ("chain", [s.longest_chain for s in stats]),
+    ):
+        row[f"{name}_mean"] = np.mean(values)
+        row[f"{name}_std"] = np.std(values)
+    return row
+
+
 def run_study(n_notebooks: int = 10, *, seed: int = 0) -> pd.DataFrame:
     """Table X: per-dataset mean +/- std of total ops, compressible ops,
-    compressible %, and longest chain over simulated notebooks."""
-    rows = []
-    for profile in PROFILES:
-        stats = [
-            simulate_notebook(profile, seed * 1000 + i) for i in range(n_notebooks)
-        ]
-        rows.append(
-            {
-                "dataset": profile,
-                "total_mean": np.mean([s.total_ops for s in stats]),
-                "total_std": np.std([s.total_ops for s in stats]),
-                "compress_mean": np.mean([s.compressible for s in stats]),
-                "compress_std": np.std([s.compressible for s in stats]),
-                "pct_mean": np.mean([s.pct for s in stats]),
-                "pct_std": np.std([s.pct for s in stats]),
-                "chain_mean": np.mean([s.longest_chain for s in stats]),
-                "chain_std": np.std([s.longest_chain for s in stats]),
-            }
-        )
-    all_stats = [
-        simulate_notebook(p, seed * 1000 + i)
-        for p in PROFILES
-        for i in range(n_notebooks)
-    ]
-    rows.append(
-        {
-            "dataset": "Total",
-            "total_mean": np.mean([s.total_ops for s in all_stats]),
-            "total_std": np.std([s.total_ops for s in all_stats]),
-            "compress_mean": np.mean([s.compressible for s in all_stats]),
-            "compress_std": np.std([s.compressible for s in all_stats]),
-            "pct_mean": np.mean([s.pct for s in all_stats]),
-            "pct_std": np.std([s.pct for s in all_stats]),
-            "chain_mean": np.mean([s.longest_chain for s in all_stats]),
-            "chain_std": np.std([s.longest_chain for s in all_stats]),
-        }
-    )
+    compressible %, and longest chain over simulated notebooks. Notebook
+    ``i`` of profile ``k`` draws from seed ``(seed, k, i)``, so no two
+    notebooks, in one profile or across profiles, share a stream."""
+    stats = {
+        profile: [simulate_notebook(profile, (seed, k, i)) for i in range(n_notebooks)]
+        for k, profile in enumerate(PROFILES)
+    }
+    rows = [_summary_row(profile, s) for profile, s in stats.items()]
+    rows.append(_summary_row("Total", [n for s in stats.values() for n in s]))
     return pd.DataFrame(rows)
+
+
+def format_table(df: pd.DataFrame) -> str:
+    """Paper-style Table X rows: mean ± std per statistic."""
+    lines = [f"{'Dataset':<9}{'Total Op.':>18}{'Compress Abs':>18}{'(%)':>16}{'Longest Chain':>18}"]
+    for _, r in df.iterrows():
+        lines.append(
+            f"{r['dataset']:<9}"
+            f"{r['total_mean']:>9.1f} ± {r['total_std']:<6.1f}"
+            f"{r['compress_mean']:>9.1f} ± {r['compress_std']:<6.1f}"
+            f"{r['pct_mean']:>8.1f} ± {r['pct_std']:<5.1f}"
+            f"{r['chain_mean']:>9.1f} ± {r['chain_std']:<6.1f}"
+        )
+    return "\n".join(lines)

@@ -22,7 +22,7 @@ from repro.capture import numpy_ops as nops
 from repro.capture import patterns as pt
 from repro.capture.explain import lime_capture
 from repro.core import provrc
-from repro.core.model import LineageSchema, backward_schema, forward_schema
+from repro.core.model import LineageSchema, forward_schema
 
 
 @dataclass
@@ -33,18 +33,11 @@ class PipelineStep:
     relation: pd.DataFrame  # full lineage: b* (out), a* (in)
 
 
-def compress_pipeline(
-    steps: list[PipelineStep], direction: str = "forward"
-) -> list[tuple[pd.DataFrame, LineageSchema]]:
-    """Compress every step for chained queries in the given direction."""
+def compress_pipeline(steps: list[PipelineStep]) -> list[tuple[pd.DataFrame, LineageSchema]]:
+    """Compress every step's forward table, for chained forward queries."""
     out = []
     for s in steps:
-        n_out, n_in = len(s.out_shape), len(s.in_shape)
-        schema = (
-            forward_schema(n_out, n_in)
-            if direction == "forward"
-            else backward_schema(n_out, n_in)
-        )
+        schema = forward_schema(len(s.out_shape), len(s.in_shape))
         out.append((provrc.compress(s.relation, schema), schema))
     return out
 
@@ -74,7 +67,7 @@ def image_pipeline(h0: int = 480, w0: int = 640, target: int = 416, *, lime_bloc
 # -- relational workflow (Table VIII right) ---------------------------------
 
 def relational_pipeline(
-    n_left: int = 2000, n_right: int = 3000, *, n_genres: int = 8, seed: int = 0
+    n_left: int = 2000, n_right: int = 3000, *, seed: int = 0
 ) -> list[PipelineStep]:
     """The paper's relational workflow over the 2-D array view of tables.
 
@@ -131,7 +124,7 @@ def relational_pipeline(
     shape3 = (n2, cols_out + 1)
 
     # Step 4: one-hot encode the genre column into n_genres new columns.
-    genre_col = 3
+    genre_col, n_genres = 3, 8
     onehot_new = pd.DataFrame(
         {
             "b0": np.repeat(np.arange(n2), n_genres),
@@ -178,14 +171,13 @@ def random_numpy_pipeline(
     *,
     shape: tuple[int, int] = (100, 1000),
     seed: int = 0,
-    balanced: bool = False,
 ) -> list[PipelineStep]:
     """A random chain of shape-preserving numpy ops over a 100k-cell array.
 
-    With ``balanced``, element-wise and complex ops are drawn with equal
-    probability (the registry pool is element-wise-heavy, so a uniform
-    draw rarely exercises sort/cumsum-class lineage; the paper's latency
-    spread of two orders of magnitude comes from exactly those draws).
+    Element-wise and complex ops are drawn with equal probability (the
+    registry pool is element-wise-heavy, so a uniform draw rarely
+    exercises sort/cumsum-class lineage; the paper's latency spread of
+    two orders of magnitude comes from exactly those draws).
     """
     g = np.random.default_rng(seed)
     pool = nops.single_float_pipeline_ops()
@@ -193,11 +185,8 @@ def random_numpy_pipeline(
     complex_ = [s for s in pool if s.category == "complex"]
     steps = []
     for k in range(n_ops):
-        if balanced and complex_ and element:
-            sub = complex_ if g.random() < 0.5 else element
-            spec = sub[int(g.integers(0, len(sub)))]
-        else:
-            spec = pool[int(g.integers(0, len(pool)))]
+        sub = complex_ if g.random() < 0.5 else element
+        spec = sub[int(g.integers(0, len(sub)))]
         cap = spec.capture((shape,), g)
         steps.append(
             PipelineStep(f"{k}:{spec.name}", shape, shape, cap.relation(0))

@@ -10,7 +10,7 @@ from repro.capture import patterns as pt
 from repro.core import provrc
 from repro.core.model import backward_schema, backward_schema_of
 from repro.core.ranges import hi, lo, rep
-from repro.reuse import ReuseIndex, generalize, instantiate
+from repro.reuse.signatures import ReuseIndex, generalize, instantiate
 
 
 class TestIndexReshaping:
@@ -98,16 +98,16 @@ class TestReusePredictor:
         r1 = self._run(idx, spec, spec.default_shapes, 0)
         assert r1.dim_status == "pending"
         r2 = self._run(idx, spec, spec.default_shapes, 1)
-        assert r2.dim_status == "permanent" and r2.dim_hit and not r2.error
+        assert r2.dim_status == "permanent" and not r2.error
         r3 = self._run(idx, spec, spec.default_shapes, 2)
-        assert r3.dim_hit and not r3.error
+        assert r3.dim_status == "permanent" and not r3.error
 
     def test_dim_sig_blocked_for_sort(self):
         idx = ReuseIndex()
         spec = nops.OPS["sort"]
         self._run(idx, spec, spec.default_shapes, 0)
         r2 = self._run(idx, spec, spec.default_shapes, 1)
-        assert r2.dim_status == "blocked" and not r2.dim_hit
+        assert r2.dim_status == "blocked"
 
     def test_gen_sig_promoted_for_matmul(self):
         idx = ReuseIndex()
@@ -118,7 +118,7 @@ class TestReusePredictor:
         r2 = self._run(idx, spec, spec.default_shapes, 1)
         assert r2.gen_status == "pending"
         r3 = self._run(idx, spec, spec.alt_shapes, 2)
-        assert r3.gen_status == "permanent" and r3.gen_hit and not r3.error
+        assert r3.gen_status == "permanent" and not r3.error
 
     def test_gen_sig_blocked_for_tile(self):
         idx = ReuseIndex()

@@ -3,19 +3,18 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines import (
+from repro.baselines.formats import (
     read_array,
     read_parquet,
     read_raw,
-    read_turborc,
     write_array,
     write_parquet,
     write_raw,
-    write_turborc,
 )
+from repro.baselines.turborc import read_turborc, write_turborc
 from repro.capture import patterns as pt
 from repro.core import provrc, storage
-from repro.core.model import backward_schema
+from repro.core.model import backward_schema, forward_schema, schema_of
 from repro.core.provrc import interval_columns
 from repro.core.ranges import rep
 
@@ -104,6 +103,22 @@ class TestProvRCStorage:
         assert s_provrc < s_parquet / 10
         assert s_provrc < s_turbo  # margin grows with scale (Table VII)
         assert s_provrc < s_raw / 100
+
+
+@pytest.mark.parametrize(
+    "schema", [backward_schema(1, 2), forward_schema(1, 2)], ids=["backward", "forward"]
+)
+def test_schema_survives_the_file(schema):
+    """A file declares (direction, n_key, n_val); with n_key != n_val a
+    swapped rebuild of the schema cannot pass."""
+    cdf = provrc.compress(pt.reduce_axis((6, 5), 1), schema)
+    assert storage.deserialize(storage.serialize(cdf, schema))[1] == schema
+    assert schema_of(schema.direction, schema.n_key, schema.n_val) == schema
+
+
+def test_schema_of_rejects_unknown_direction():
+    with pytest.raises(ValueError, match="unknown lineage direction 'sideways'"):
+        schema_of("sideways", 1, 1)
 
 
 def _bad_rep_code(cdf):

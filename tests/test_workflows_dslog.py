@@ -8,7 +8,7 @@ from repro.capture import numpy_ops as nops
 from repro.core import provrc
 from repro.dslog import DSLog
 from repro.insitu.theta_join import intervals_to_cells, chain_query
-from repro.workflows import (
+from repro.workflows.pipelines import (
     compress_pipeline,
     image_pipeline,
     random_numpy_pipeline,
@@ -34,7 +34,7 @@ class TestPipelines:
 
     def test_image_pipeline_forward_query(self):
         steps = image_pipeline(60, 80, target=52, lime_block=13)
-        tables = compress_pipeline(steps, "forward")
+        tables = compress_pipeline(steps)
         q = provrc.encode_query(
             pd.DataFrame({"a0": [10], "a1": [10], "a2": [0]}),
             ["a0", "a1", "a2"],
@@ -49,7 +49,7 @@ class TestPipelines:
         assert len(steps) == 5
         for a, b in zip(steps, steps[1:]):
             assert a.out_shape == b.in_shape
-        tables = compress_pipeline(steps, "forward")
+        tables = compress_pipeline(steps)
         q = provrc.encode_query(pd.DataFrame({"a0": [5], "a1": [1]}), ["a0", "a1"])
         out = chain_query(q, tables)
         cells = intervals_to_cells(out, ["b0", "b1"])
@@ -59,7 +59,7 @@ class TestPipelines:
 
     def test_relational_pipeline_matches_ground_truth(self):
         steps = relational_pipeline(200, 300, seed=2)
-        tables = compress_pipeline(steps, "forward")
+        tables = compress_pipeline(steps)
         q_cells = pd.DataFrame({"a0": [3, 7], "a1": [1, 2]})
         q = provrc.encode_query(q_cells, ["a0", "a1"])
         got = intervals_to_cells(chain_query(q, tables), ["b0", "b1"])
@@ -81,7 +81,7 @@ class TestPipelines:
     def test_resnet_pipeline(self):
         steps = resnet_pipeline(20, 20)
         assert len(steps) == 7
-        tables = compress_pipeline(steps, "forward")
+        tables = compress_pipeline(steps)
         # conv lineage compresses to a handful of rows (boundary cases).
         assert all(len(cdf) < 200 for cdf, _ in tables)
         q = provrc.encode_query(pd.DataFrame({"a0": [10], "a1": [10]}), ["a0", "a1"])
@@ -166,3 +166,9 @@ class TestKaggleSim:
         assert flight["pct_mean"] > netflix["pct_mean"]
         assert netflix["pct_mean"] > 55
         assert flight["chain_mean"] > 5
+
+    def test_profiles_draw_their_own_notebooks(self):
+        # A notebook's op count is its first draw: profiles that shared
+        # seeds reported identical total-op statistics.
+        df = run_study(10, seed=0).set_index("dataset")
+        assert df.loc["Flight", "total_mean"] != df.loc["Netflix", "total_mean"]
