@@ -123,6 +123,86 @@ def _codes(m: np.ndarray) -> tuple[np.ndarray, list[int], dict[int, np.ndarray]]
     return codes, spans, absent
 
 
+def _run_floor(
+    m: np.ndarray,
+    coded: tuple[np.ndarray, list[int], dict[int, np.ndarray]],
+    target: int,
+    n_key: int,
+    n_val: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A lower bound on the rows any ordering's scan leaves in each group
+    of the other keys, and the group number of each column of ``m``
+    (groups numbered in the order every scan's output lists them).
+
+    ``coded`` is ``_codes(m)``, and the target must be scalar, as it is in
+    its own pass (only that pass range-encodes it): the bound reads
+    adjacency off the target's ``lo`` alone. A *block* is the rows of a
+    group that share one target value. Between two consecutive target
+    values of a group there is a *cut* when they are not adjacent, or
+    when both blocks are single rows and, for some value attribute, the
+    two rows share no present candidate with equal codes. The consecutive
+    rows of a run have adjacent targets and share a constant candidate
+    for every value attribute, so no run crosses a cut, and a run holds at
+    most one row of each block: a group needs at least, per cut-separated
+    piece, as many runs as the piece's largest block has rows.
+    """
+    codes, spans, absent = coded
+    assert np.array_equal(m[2 * target], m[2 * target + 1]), "the target key must be scalar"
+    grp = _pairs(k for k in range(n_key) if k != target)
+    keys = grp + [2 * target]
+    perm = rg.packed_order([codes[r] for r in keys], [spans[r] for r in keys])
+    n = len(perm)
+    new_grp = np.zeros(n, dtype=bool)
+    new_grp[0] = True
+    for r in grp:
+        if spans[r] > 1:
+            code = codes[r].take(perm)
+            new_grp[1:] |= code[1:] != code[:-1]
+    t = codes[2 * target].take(perm)
+    step = t[1:] - t[:-1]
+    new_blk = new_grp.copy()
+    new_blk[1:] |= step != 0
+    cut = new_grp.copy()
+    cut[1:] |= step > 1
+    starts = np.flatnonzero(new_blk)
+    sizes = np.diff(starts, append=n)
+
+    # Cuts between two single-row blocks that share no constant candidate
+    # for some value attribute.
+    pair = starts[1:][(sizes[1:] == 1) & (sizes[:-1] == 1) & ~cut[starts[1:]]]
+    if len(pair):
+        a, b = perm[pair - 1], perm[pair]
+        for i in range(n_val):
+            shared = np.zeros(len(pair), dtype=bool)
+            for c in _candidates(i, n_key, n_val):
+                same = np.ones(len(pair), dtype=bool)
+                for r in _pairs([c]):
+                    if spans[r] > 1:
+                        same &= codes[r].take(a) == codes[r].take(b)
+                if c in absent:
+                    same &= ~absent[c].take(a) & ~absent[c].take(b)
+                shared |= same
+            cut[pair[~shared]] = True
+
+    piece = np.flatnonzero(cut[starts])
+    most = np.maximum.reduceat(sizes, piece)
+    floor = np.add.reduceat(most, np.flatnonzero(new_grp[starts[piece]]))
+    gid = np.empty(n, dtype=np.int64)
+    gid[perm] = np.cumsum(new_grp) - 1
+    return floor, gid
+
+
+def _take_columns(
+    m: np.ndarray, coded: tuple[np.ndarray, list[int], dict[int, np.ndarray]], cols: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, list[int], dict[int, np.ndarray]]]:
+    """The columns ``cols`` (a mask) of ``m`` and of its ``_codes``. The
+    spans stay those of the whole matrix: every code stays below its
+    span, and a row constant on the whole is constant on the subset."""
+    codes, spans, absent = coded
+    sub = (codes.compress(cols, axis=1), spans, {a: miss[cols] for a, miss in absent.items()})
+    return m.compress(cols, axis=1), sub
+
+
 def _encode_key_pass(m: np.ndarray, target: int, n_key: int, n_val: int) -> np.ndarray:
     """One range-encoding pass over key attribute ``target`` (paper §IV.A
     step 2), on and to the candidate matrix.
@@ -134,11 +214,18 @@ def _encode_key_pass(m: np.ndarray, target: int, n_key: int, n_val: int) -> np.n
     harmlessly anywhere. So the pass scans once per rotation of the
     value order and keeps, per group of the other key attributes, the
     rotation producing the fewest rows (a later ordering replaces a
-    group only with strictly fewer rows). Once every group is down to one
-    row no ordering can improve on it, and the remaining ones are not
-    tried. Every scan is independently lossless, and per-group selection
-    makes the result's rows the same whether the pass runs over the whole
-    relation or over pieces that each hold whole groups (``chunk``).
+    group only with strictly fewer rows). Every scan is independently
+    lossless, and per-group selection makes the result's rows the same
+    whether the pass runs over the whole relation or over pieces that
+    each hold whole groups (``chunk``).
+
+    A group whose rows are down to its ``_run_floor`` cannot be improved
+    by any ordering, so it is closed. The first ordering scans every
+    group (the floor is computed only if some group is left above one
+    row); each later ordering scans only the columns of the groups still
+    open, and the pass stops once none is. A scan's runs never cross
+    groups, so a group's scan is the same on that subset as on the whole
+    matrix.
 
     The matrix becomes int64 codes once (``_codes``), and every ordering
     sorts and compares those. A scan's output is sorted by the other keys
@@ -153,17 +240,28 @@ def _encode_key_pass(m: np.ndarray, target: int, n_key: int, n_val: int) -> np.n
     grp = _pairs(k for k in range(n_key) if k != target)
     best = _scan_key_pass(m, coded, target, order, mode, n_key, n_val)
     gid = np.cumsum(rg.changed(best, grp)) - 1
-    n_groups = int(gid[-1]) + 1
+    rows = np.bincount(gid)
+    if len(rows) == best.shape[1]:
+        return best
+    floor, col_gid = _run_floor(m, coded, target, n_key, n_val)
+    is_open = rows > floor
+    sub, sub_gid = (m, coded), col_gid
     for order, mode in later:
-        if best.shape[1] == n_groups:
+        cols = is_open[sub_gid]
+        if not cols.any():
             break
-        out = _scan_key_pass(m, coded, target, order, mode, n_key, n_val)
-        new = np.cumsum(rg.changed(out, grp)) - 1
-        better = np.bincount(new, minlength=n_groups) < np.bincount(gid, minlength=n_groups)
+        if not cols.all():
+            sub, sub_gid = _take_columns(*sub, cols), sub_gid[cols]
+        out = _scan_key_pass(*sub, target, order, mode, n_key, n_val)
+        new = np.flatnonzero(is_open)[np.cumsum(rg.changed(out, grp)) - 1]
+        count = np.bincount(new, minlength=len(rows))
+        better = is_open & (count < rows)
         if better.any():
             keep, take = ~better[gid], better[new]
             best = np.concatenate([best.compress(keep, axis=1), out.compress(take, axis=1)], axis=1)
             gid = np.concatenate([gid[keep], new[take]])
+            rows[better] = count[better]
+            is_open &= rows > floor
     return best
 
 

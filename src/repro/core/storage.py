@@ -10,7 +10,8 @@ column: ``serialize`` reads the table into it and streams its rows, and
 ``deserialize`` fills it from the streams and wraps it once as the
 frame's single int64 block (the form ``provrc.finalize`` builds too, and
 which the θ-join reads with one ``to_numpy``). ``ProvRC-GZip`` gzips the
-same payload; the paper applies it by default because it wins on
+same payload, with a zero header timestamp so one table always gives the
+same file; the paper applies it by default because it wins on
 unstructured lineage at negligible cost for structured lineage.
 
 Layout (little-endian), version 2:
@@ -182,7 +183,7 @@ def write(cdf: pd.DataFrame, schema: LineageSchema, path: str | Path, *, gzipped
     """Write a compressed table; returns bytes on disk."""
     payload = serialize(cdf, schema)
     if gzipped:
-        payload = gzip.compress(payload, compresslevel=6)
+        payload = gzip.compress(payload, compresslevel=6, mtime=0)
     Path(path).write_bytes(payload)
     return len(payload)
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.capture import patterns as pt
 from repro.core import provrc
-from repro.core.model import backward_schema, forward_schema
+from repro.core.model import backward_schema, backward_schema_of, forward_schema
 from repro.core.ranges import hi, lo, rep
 
 
@@ -129,20 +129,55 @@ class TestStep2:
         expect = df.sort_values(["b0", "a0"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(back, expect, check_dtype=False)
 
-    def test_key_pass_stops_once_every_group_is_one_row(self, monkeypatch):
-        """Identity lineage is one row per group after the first ordering,
-        so each key pass scans once instead of 1 + 2·|val| times."""
-        targets = []
+    @staticmethod
+    def _scans(monkeypatch, rel):
+        """Compress ``rel`` under its backward schema; returns the table
+        and each scan's (target, columns scanned)."""
+        scans = []
         scan = provrc._scan_key_pass
 
         def counting(m, coded, target, *args):
-            targets.append(target)
+            scans.append((target, m.shape[1]))
             return scan(m, coded, target, *args)
 
         monkeypatch.setattr(provrc, "_scan_key_pass", counting)
-        cdf = provrc.compress(pt.identity((12, 12)), backward_schema(2, 2))
-        assert targets == [1, 0]
+        return provrc.compress(rel, backward_schema_of(rel.columns)), scans
+
+    def test_key_pass_stops_once_every_group_is_one_row(self, monkeypatch):
+        """Identity lineage is one row per group after the first ordering,
+        so each key pass scans once instead of 1 + 2·|val| times."""
+        cdf, scans = self._scans(monkeypatch, pt.identity((12, 12)))
+        assert [t for t, _ in scans] == [1, 0]
         assert len(cdf) == 1
+
+    @pytest.mark.parametrize("kind", ["permutation", "repetition"])
+    def test_key_pass_stops_once_every_group_is_at_its_floor(self, monkeypatch, kind):
+        """A permutation stays one row per cell and a repetition keeps one
+        row per repeated block; both reach their run floor in the first
+        ordering, so each key pass scans once."""
+        if kind == "permutation":
+            rel = pd.DataFrame({"b0": np.arange(400), "a0": np.random.default_rng(0).permutation(400)})
+        else:
+            rel = pt.index_map((12, 12), lambda o: [o[0] % 6, o[1] % 6])
+        schema = backward_schema_of(rel.columns)
+        cdf, scans = self._scans(monkeypatch, rel)
+        assert [t for t, _ in scans] == list(range(schema.n_key - 1, -1, -1))
+        expect = rel.sort_values(list(rel.columns)).reset_index(drop=True)
+        pd.testing.assert_frame_equal(provrc.decompress(cdf, schema), expect)
+
+    def test_later_orderings_scan_only_the_groups_above_their_floor(self, monkeypatch):
+        """In the ``b1`` pass, group ``b0 = 0`` is one row after the first
+        ordering, while group ``b0 = 1`` (two values per ``b1``) is four
+        rows against a floor of two. The second ordering, value first,
+        scans only that group's four columns and brings it to its floor,
+        so the pass stops there. The ``b0`` pass is at its floor at once."""
+        rel = pd.DataFrame(
+            [(0, 0, 5), (0, 1, 5), (1, 0, 5), (1, 1, 5), (1, 0, 7), (1, 1, 7)],
+            columns=["b0", "b1", "a0"],
+        )
+        cdf, scans = self._scans(monkeypatch, rel)
+        assert scans == [(1, 6), (1, 4), (0, 3)]
+        assert len(cdf) == 2
 
 
 class TestRoundTrip:

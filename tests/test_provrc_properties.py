@@ -6,6 +6,8 @@
   ground-truth cell set;
 - the query result is always a superset of ground truth (even for
   correlated-delta patterns, where exactness is not promised — DESIGN.md);
+- no sort ordering leaves a group of a key pass fewer rows than the
+  pass's run floor;
 - the vectorized step-2 key pass returns the same candidate matrix,
   wrapped as a frame, as the row-at-a-time reference in
   ``tests/reference_loops.py`` returns, per ordering
@@ -165,7 +167,9 @@ def test_roundtrip_2x2(rel):
 @example(pd.DataFrame({"b0": range(8), "a0": [3, 7, 0, 5, 1, 6, 2, 4]}), False, 0)
 def test_scan_matches_loop_reference(rel, forward, min_wins):
     """Every ordering's scan, and each whole key pass, on the candidate
-    forms ``compress`` feeds them (later passes see NaN candidates).
+    forms ``compress`` feeds them (later passes see NaN candidates). No
+    ordering leaves a group fewer rows than its ``_run_floor``, the bound
+    that lets a pass skip the orderings of groups already down to it.
 
     In some key pass, at least ``min_wins`` orderings after the first
     each give some group fewer rows than every ordering before them. The
@@ -192,12 +196,14 @@ def test_scan_matches_loop_reference(rel, forward, min_wins):
         args = (schema.val_cols, schema.key_cols)
         fewest, wins = None, 0
         coded = provrc._codes(work)
+        floor = provrc._run_floor(work, coded, j, n_key, n_val)[0]
         for order, mode in provrc._orderings(n_val):
             got = provrc._scan_key_pass(work, coded, j, order, mode, n_key, n_val)
             names = tuple(schema.val_cols[i] for i in order)
             want = scan_key_pass_loop(frame(work), target, others, names, *args, mode)
             pd.testing.assert_frame_equal(frame(got), want, check_exact=True)
             rows = want.groupby(grp).size().to_numpy() if grp else np.array([len(want)])
+            assert (rows >= floor).all()
             if fewest is not None:
                 wins += bool((rows < fewest).any())
                 rows = np.minimum(rows, fewest)

@@ -81,6 +81,18 @@ class TestProvRCStorage:
         )
         pd.testing.assert_frame_equal(full, expect, check_dtype=False)
 
+    def test_gzipped_write_is_reproducible(self, tmp_path, random_rel):
+        """The gzip header's MTIME field is zero, so writing one table
+        twice, at any two times, gives the same bytes."""
+        schema = backward_schema(1, 1)
+        cdf = provrc.compress(random_rel, schema)
+        paths = [tmp_path / "1.prc.gz", tmp_path / "2.prc.gz"]
+        for p in paths:
+            storage.write(cdf, schema, p, gzipped=True)
+        first, second = (p.read_bytes() for p in paths)
+        assert first[4:8] == bytes(4)
+        assert first == second
+
     def test_unstructured_roundtrip(self, tmp_path, random_rel):
         schema = backward_schema(1, 1)
         cdf = provrc.compress(random_rel, schema)
