@@ -1,12 +1,17 @@
-"""One sha256 per compression case, to compare two checkouts' ProvRC output.
+"""Two sha256s per compression case, to compare two checkouts' ProvRC output.
 
 Each case hashes the ``provrc.compress`` table (values, dtypes, column
-order, index and row order) and its ``storage.serialize`` bytes. The
-corpus: every registry op at its default and alternative shapes, in both
-directions; 40 seeded random relations; the ``kernel`` benchmark's ingest
-mix. Two checkouts compress identically iff they print the same lines.
+order, index and row order) and, apart, its ``storage.serialize`` bytes.
+The corpus: every registry op at its default and alternative shapes, in
+both directions; 40 seeded random relations; the ``kernel`` benchmark's
+ingest mix. Two checkouts compress identically iff their table digests
+match, and write identical files iff their file digests match, so a
+file-format change shows as moved file digests under unchanged table
+ones.
 
 Usage: PYTHONPATH=src python jobs/compress_digest.py [--total-only]
+prints ``<table sha> <file sha>  <case>`` per case (unless
+``--total-only``), then ``<sha>  tables`` and ``<sha>  files``.
 """
 import hashlib
 import sys
@@ -38,18 +43,20 @@ def cases():
 
 
 def main() -> None:
-    total = hashlib.sha256()
+    tables, files = hashlib.sha256(), hashlib.sha256()
     for name, rel in cases():
         n_b = sum(c.startswith("b") for c in rel.columns)
         for schema in (backward_schema(n_b, rel.shape[1] - n_b), forward_schema(n_b, rel.shape[1] - n_b)):
             cdf = provrc.compress(rel, schema)
-            h = hashlib.sha256(repr((list(cdf.columns), list(map(str, cdf.dtypes)), list(cdf.index))).encode())
-            h.update(np.ascontiguousarray(cdf.to_numpy()).tobytes())
-            h.update(storage.serialize(cdf, schema))
-            total.update(h.digest())
+            t = hashlib.sha256(repr((list(cdf.columns), list(map(str, cdf.dtypes)), list(cdf.index))).encode())
+            t.update(np.ascontiguousarray(cdf.to_numpy()).tobytes())
+            f = hashlib.sha256(storage.serialize(cdf, schema))
+            tables.update(t.digest())
+            files.update(f.digest())
             if "--total-only" not in sys.argv:
-                print(f"{h.hexdigest()}  {name}/{schema.direction}")
-    print(f"{total.hexdigest()}  total")
+                print(f"{t.hexdigest()} {f.hexdigest()}  {name}/{schema.direction}")
+    print(f"{tables.hexdigest()}  tables")
+    print(f"{files.hexdigest()}  files")
 
 
 if __name__ == "__main__":

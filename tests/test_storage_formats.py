@@ -1,4 +1,7 @@
 """Round-trip and size-ordering tests for all storage formats (§VII.B)."""
+import gzip
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -138,19 +141,47 @@ def _bad_rep_code(cdf):
     return storage.serialize(cdf.assign(**{rep("a0"): 9}), backward_schema(2, 2))
 
 
+def _table(rows) -> pd.DataFrame:
+    """A finalized 1-key, 1-value table, one list per row."""
+    return pd.DataFrame(rows, columns=interval_columns(backward_schema(1, 1)))
+
+
+def _at_width(c) -> pd.DataFrame:
+    """A 3-row table whose ``a0_lo`` stream is a constant run and whose
+    ``a0_hi`` width stream (the file's last) is stored in full, both at
+    ``2**c`` bytes per value: they hold that width's minimum and maximum."""
+    top = 2 ** (8 * 2**c - 1) - 1
+    return _table([[i, i, 0, -top - 1, -top - 1 + w] for i, w in enumerate([0, 1, top])])
+
+
+def _cut_last_stream(c):
+    """``_at_width(c)``'s file, one byte short of its last stream."""
+    return storage.serialize(_at_width(c), backward_schema(1, 1))[:-1]
+
+
 @pytest.mark.parametrize(
     "corrupt,match",
     [
         (lambda buf, cdf: b"XXXX" + buf[4:], "not a ProvRC file"),
-        (lambda buf, cdf: buf[:4] + b"\x03" + buf[5:], "unsupported ProvRC file version 3"),
+        (lambda buf, cdf: buf[:4] + b"\x02" + buf[5:], "unsupported ProvRC file version 2"),
         (lambda buf, cdf: buf[:10], "truncated ProvRC file: header"),
         (lambda buf, cdf: buf[:-1], "truncated ProvRC file: stream"),
         (lambda buf, cdf: buf + b"\x00", "1 trailing bytes"),
         (lambda buf, cdf: _bad_rep_code(cdf), "representation code 9, but the file has 2 key"),
+        (lambda buf, cdf: buf[:16] + b"\x02" + buf[17:], "bad stream flag 2 at byte 16"),
+        (lambda buf, cdf: buf[:16] + b"\x40" + buf[17:], "unknown width code 4 at byte 16"),
+        *(
+            (lambda buf, cdf, c=c: _cut_last_stream(c), f"needs {3 * 2**c} bytes, {3 * 2**c - 1} left")
+            for c in range(4)
+        ),
     ],
-    ids=["bad-magic", "bad-version", "short-header", "truncated", "trailing", "rep-out-of-range"],
+    ids=[
+        "bad-magic", "bad-version", "short-header", "truncated", "trailing", "rep-out-of-range",
+        "bad-kind", "unknown-width-code", "truncated-i1", "truncated-i2", "truncated-i4", "truncated-i8",
+    ],
 )
 def test_deserialize_rejects_malformed(corrupt, match):
+    """The bad-version case is a version-2 header: v3 reads v3 only."""
     schema = backward_schema(2, 2)
     cdf = provrc.compress(pt.conv2d(10, 10, 3, 3), schema)
     buf = storage.serialize(cdf, schema)
@@ -160,29 +191,75 @@ def test_deserialize_rejects_malformed(corrupt, match):
         storage.deserialize(corrupt(buf, cdf))
 
 
-def _one_row(b0_lo: int, b0_hi: int) -> pd.DataFrame:
-    """A finalized 1-key, 1-value table of one row, ``a0`` absolute."""
-    return pd.DataFrame(
-        [[b0_lo, b0_hi, 0, 0, 3]], columns=interval_columns(backward_schema(1, 1))
-    )
+@pytest.mark.parametrize("c", range(4), ids=["i1", "i2", "i4", "i8"])
+def test_every_width_roundtrips_full_and_constant(c):
+    cdf = _at_width(c)
+    buf = storage.serialize(cdf, backward_schema(1, 1))
+    # Header, the b0 delta stream [0, 1, 1] in full at one byte, the b0
+    # width and a0 rep streams as one-byte constants, then a0_lo (one
+    # value) and the a0 width stream (three values) at 2**c bytes.
+    assert len(buf) == 16 + 4 + 2 + 2 + (1 + 2**c) + (1 + 3 * 2**c)
+    back, _ = storage.deserialize(buf)
+    pd.testing.assert_frame_equal(back, cdf)
 
 
 @pytest.mark.parametrize("b0", [2**31 - 1, -(2**31)])
 def test_int32_extremes_roundtrip(b0):
-    schema = backward_schema(1, 1)
-    cdf = _one_row(b0, b0)
-    back, _ = storage.deserialize(storage.serialize(cdf, schema))
+    cdf = _table([[b0, b0, 0, 0, 3]])
+    back, _ = storage.deserialize(storage.serialize(cdf, backward_schema(1, 1)))
     pd.testing.assert_frame_equal(back, cdf)
 
 
 @pytest.mark.parametrize(
-    "b0_lo,b0_hi,match",
+    "b0_lo,b0_hi",
     [
-        (2**31 + 5, 2**31 + 5, "stream b0_lo delta holds 2147483653"),
-        (0, 2**31, "stream b0_hi width holds 2147483648"),
+        (2**31 + 5, 2**31 + 5),
+        (0, 2**31),
+        (2**31, 2**31),
+        (2**63 - 1, 2**63 - 1),
+        (-(2**63 - 1), -(2**63 - 1)),
+        (-(2**63 - 1), 0),
     ],
-    ids=["lo-above-int32", "width-above-int32"],
+    ids=["lo-above-int32", "width-above-int32", "2^31", "2^63-1", "-(2^63-1)", "width-2^63-1"],
 )
-def test_serialize_refuses_values_outside_int32(b0_lo, b0_hi, match):
+def test_values_past_int32_roundtrip(b0_lo, b0_hi):
+    """v3 stores a stream at up to 8 bytes per value, so any int64 key
+    ``lo`` and any width up to 2**63 - 1 reads back unchanged (-2**31 is
+    in ``test_int32_extremes_roundtrip``)."""
+    cdf = _table([[b0_lo, b0_hi, 0, 0, 3]])
+    back, _ = storage.deserialize(storage.serialize(cdf, backward_schema(1, 1)))
+    pd.testing.assert_frame_equal(back, cdf)
+
+
+@pytest.mark.parametrize(
+    "rows,match",
+    [
+        ([[-(2**63 - 1)] * 2 + [0, 0, 3], [2**63 - 1] * 2 + [0, 0, 3]], "stream b0_lo delta overflows int64"),
+        ([[-1, 2**63 - 1, 0, 0, 3]], "stream b0_hi width overflows int64"),
+        ([[0, 0, 0, -(2**63), 1]], "stream a0_hi width overflows int64"),
+    ],
+    ids=["key-delta", "key-width", "value-width"],
+)
+def test_serialize_refuses_int64_overflow(rows, match):
     with pytest.raises(ValueError, match=match):
-        storage.serialize(_one_row(b0_lo, b0_hi), backward_schema(1, 1))
+        storage.serialize(_table(rows), backward_schema(1, 1))
+
+
+@pytest.mark.parametrize(
+    "corrupt,error",
+    [
+        (lambda gz: gz[: len(gz) // 2], EOFError),
+        (lambda gz: gz[:-8] + bytes([gz[-8] ^ 1]) + gz[-7:], gzip.BadGzipFile),
+    ],
+    ids=["truncated", "bad-crc"],
+)
+def test_read_reports_a_corrupt_gzip_file_by_path(tmp_path, random_rel, corrupt, error):
+    """A cut or corrupted ProvRC-GZip file raises ``ValueError`` naming
+    the path, not gzip's own ``EOFError`` or ``BadGzipFile``."""
+    schema = backward_schema(1, 1)
+    p = tmp_path / "l.prc.gz"
+    storage.write(provrc.compress(random_rel, schema), schema, p, gzipped=True)
+    p.write_bytes(corrupt(p.read_bytes()))
+    with pytest.raises(ValueError, match=f"corrupt ProvRC-GZip file {re.escape(str(p))}") as info:
+        storage.read(p)
+    assert isinstance(info.value.__cause__, error)
