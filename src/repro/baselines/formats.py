@@ -1,8 +1,10 @@
 """Baseline storage formats for full (uncompressed) lineage relations.
 
 All writers take the full lineage relation as a pandas DataFrame of int64
-index columns and return the file size in bytes; readers return the
-relation. Sizes on these files are the Abs(MB) columns of Table VII.
+index columns and return the file size in bytes. Sizes on these files are
+the Abs(MB) columns of Table VII. DuckDB reads the CSV and Parquet files
+itself; ``read_array`` serves the Array baseline's query path, and
+``turborc.read_turborc`` the Turbo-RC one.
 ``write_baselines`` writes one relation in every DPSM baseline format, and
 ``provrc_compressible`` is the compressibility rule of Tables IX and X.
 """
@@ -32,20 +34,16 @@ def write_raw(df: pd.DataFrame, path: str | Path) -> int:
     return Path(path).stat().st_size
 
 
-def read_raw(path: str | Path) -> pd.DataFrame:
-    return pd.read_csv(path)
-
-
 def write_array(df: pd.DataFrame, path: str | Path) -> int:
     """The Array baseline: lineage tuples as a dense int64 numpy matrix."""
     np.save(path, df.to_numpy(dtype="int64"), allow_pickle=False)
     return Path(path).stat().st_size
 
 
-def read_array(path: str | Path, columns: list[str] | None = None) -> pd.DataFrame:
+def read_array(path: str | Path) -> pd.DataFrame:
+    """An Array baseline file, as columns ``c0..``."""
     arr = np.load(path, allow_pickle=False)
-    cols = columns or [f"c{i}" for i in range(arr.shape[1])]
-    return pd.DataFrame(arr, columns=cols)
+    return pd.DataFrame(arr, columns=[f"c{i}" for i in range(arr.shape[1])])
 
 
 def write_parquet(df: pd.DataFrame, path: str | Path, *, codec: str = "snappy") -> int:
@@ -53,10 +51,6 @@ def write_parquet(df: pd.DataFrame, path: str | Path, *, codec: str = "snappy") 
     table = pa.Table.from_pandas(df, preserve_index=False)
     pq.write_table(table, path, compression=codec)
     return Path(path).stat().st_size
-
-
-def read_parquet(path: str | Path) -> pd.DataFrame:
-    return pq.read_table(path).to_pandas()
 
 
 def write_baselines(rel: pd.DataFrame, stem: str | Path) -> dict[str, tuple[Path, int]]:

@@ -4,11 +4,12 @@ The paper's Turbo-RC applies "state-of-the-art integer compression over
 each column: run-length encoding combined with integer entropy coding"
 [17]. We reproduce that design: each column is run-length encoded into
 (value, run-length) streams, the value stream is delta + zigzag encoded,
-both streams are packed as int32, and a DEFLATE entropy stage (zlib,
-which is LZ77 + canonical Huffman) compresses the packed bytes. Like the
-paper's Turbo-RC, the format cannot be queried in place — the query path
-must fully decode it first, which is the source of its latency overhead
-in the paper's Figures 8-9.
+both streams are packed as int32 (a column that does not fit is
+refused), and a DEFLATE entropy stage (zlib, which is LZ77 + canonical
+Huffman) compresses the packed bytes. Like the paper's Turbo-RC, the
+format cannot be queried in place — the query path must fully decode it
+first, which is the source of its latency overhead in the paper's
+Figures 8-9.
 
 Layout: magic ``TRC1`` | n_cols u8 | n_rows u64
         per column: name-len u16 | name utf8 | n_runs u64
@@ -24,6 +25,7 @@ import numpy as np
 import pandas as pd
 
 _MAGIC = b"TRC1"
+_I32_MAX = 2**31 - 1
 
 
 def _rle(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -47,14 +49,18 @@ def _unzigzag(v: np.ndarray) -> np.ndarray:
 
 
 def write_turborc(df: pd.DataFrame, path: str | Path) -> int:
+    """Write ``df``; returns the file size. Raises ``ValueError`` naming
+    the column if a zigzagged delta or a run length does not fit int32
+    (a delta outside ``[-2**30, 2**30 - 1]``)."""
     parts = [_MAGIC, struct.pack("<BQ", len(df.columns), len(df))]
     for name in df.columns:
         col = df[name].to_numpy(dtype="int64")
         values, runs = _rle(col)
-        deltas = np.diff(values, prepend=np.int64(0))
-        packed = np.concatenate(
-            [_zigzag(deltas).astype("<i4"), runs.astype("<i4")]
-        ).tobytes()
+        # Zigzag maps int64 onto uint64 (-2**63 becomes 2**64 - 1).
+        zz = _zigzag(np.diff(values, prepend=np.int64(0)))
+        if (zz.view(np.uint64) > _I32_MAX).any() or (runs > _I32_MAX).any():
+            raise ValueError(f"cannot write Turbo-RC file: column {name} does not fit int32 streams")
+        packed = np.concatenate([zz.astype("<i4"), runs.astype("<i4")]).tobytes()
         z = zlib.compress(packed, 6)
         nb = name.encode()
         parts.append(struct.pack("<H", len(nb)))

@@ -131,7 +131,10 @@ class DSLog:
     # -- paper §III.A queries ---------------------------------------------
     def prov_query(self, path: list[str], query_cells: pd.DataFrame) -> pd.DataFrame:
         """prov_query(X, query_cells): lineage of the given cells of
-        ``path[0]`` in ``path[-1]``, via chained in-situ θ-joins."""
+        ``path[0]`` in ``path[-1]``, via chained in-situ θ-joins.
+        Raises ``ValueError`` for a path of fewer than two arrays."""
+        if len(path) < 2:
+            raise ValueError(f"a lineage path names at least two arrays, got {list(path)}")
         tables = []
         for src, dst in zip(path, path[1:]):
             if (src, dst) in self._edges:

@@ -65,8 +65,8 @@ def make_query(shape: tuple[int, int], n_rows: int, seed: int) -> pd.DataFrame:
 
 def run_one(
     system: str, paths: dict[str, list[Path]], q_cells: pd.DataFrame, shape
-) -> tuple[float, int]:
-    """Execute one query; returns (seconds, result cell count)."""
+) -> tuple[float, pd.DataFrame]:
+    """Execute one query; returns (seconds, the result cells)."""
     t0 = time.perf_counter()
     if system in ("DSLog", "DSLog-NoMerge"):
         tables = [storage.read(p) for p in paths["DSLog"]]
@@ -82,7 +82,7 @@ def run_one(
         fmt = {"Raw": "raw", "Parquet": "parquet", "Parquet-GZip": "parquet", "Turbo-RC": "turborc"}[system]
         cells = duckdb_chain_query(paths[system], fmt, q_cells, 2)
     dt = time.perf_counter() - t0
-    return dt, len(cells)
+    return dt, cells
 
 
 def run_latency(
@@ -94,24 +94,29 @@ def run_latency(
     systems: list[str] | None = None,
     seed: int = 0,
 ) -> pd.DataFrame:
-    """One random numpy pipeline; queries at several selectivities."""
+    """One random numpy pipeline; queries at several selectivities.
+
+    ``agrees`` is whether a system's cells, sorted, equal the first
+    system's (``DataFrame.equals``), not merely as many of them.
+    """
     paths = prepare(random_numpy_pipeline(n_ops, shape=shape, seed=seed), workdir)
     rows = []
     for qr in query_rows:
         q_cells = make_query(shape, qr, seed + qr)
         expected = None
         for system in systems or SYSTEMS:
-            secs, n_cells = run_one(system, paths, q_cells, shape)
+            secs, cells = run_one(system, paths, q_cells, shape)
+            cells = cells.sort_values(list(cells.columns)).reset_index(drop=True)
             if expected is None:
-                expected = n_cells
+                expected = cells
             rows.append(
                 {
                     "system": system,
                     "query_rows": qr,
                     "selectivity_pct": 100.0 * qr / shape[0],
                     "seconds": secs,
-                    "result_cells": n_cells,
-                    "agrees": n_cells == expected,
+                    "result_cells": len(cells),
+                    "agrees": cells.equals(expected),
                 }
             )
     return pd.DataFrame(rows)

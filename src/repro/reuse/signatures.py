@@ -10,14 +10,18 @@ Two mappings, the second more general (paper §VI):
   dimension, and instantiating new shapes rebuilds the lineage with no
   capture at all.
 
-Every mapping stores and returns finalized ProvRC tables, one
-``(table, schema)`` pair per input, as ``DSLog.register_operation``
-compressed them: the index holds no raw relation and compresses nothing.
-A dim_sig confirmation is ``DataFrame.equals`` on the tables, which is
-exact because ``provrc.compress`` depends only on the relation's row set
-(step 1's first sweep sorts on every column) and is lossless. A gen_sig
-confirmation compares the decompressed instantiation with the
-decompressed table; a gen_sig hit is the instantiated table itself.
+Both are one ``_Signature`` record under their own key: the first call's
+finalized ``(table, schema)`` pairs, by reference (the tables
+``DSLog.register_operation`` compressed and its edges hold, so every
+table is held once), each table's full-extent marks, the call's shapes
+and a status. A prediction is ``instantiate`` of the stored tables at the
+new shapes; at the stored shapes nothing changes and it returns the
+tables themselves, so a dim_sig hit shares them. A confirmation compares
+the instantiation with the captured tables: ``DataFrame.equals``, or
+else equality of the decompressed relations. That is exact:
+``provrc.compress`` depends only on the relation's row set (step 1's
+first sweep sorts on every column) and is lossless, and an instantiation
+may be a non-canonical table of the right relation.
 
 ``ReuseIndex`` implements the paper's automatic prediction: temporary
 mappings are stored on first registration and promoted to permanent
@@ -30,7 +34,7 @@ tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -43,71 +47,87 @@ Shapes = tuple[tuple[int, ...], ...]
 Table = tuple[pd.DataFrame, LineageSchema]
 
 
-def _flat_dims(in_shapes: Shapes) -> list[int]:
-    return [d for s in in_shapes for d in s]
+def _flat_dims(in_shapes: Shapes) -> np.ndarray:
+    return np.array([d for s in in_shapes for d in s], dtype=np.int64)
 
 
-@dataclass
-class GeneralizedTable:
-    """A compressed lineage table with full-extent intervals symbolized.
+def generalize(cdf: pd.DataFrame, schema: LineageSchema, in_shapes: Shapes) -> np.ndarray:
+    """Index reshaping (paper Fig 6): the full-extent intervals of ``cdf``.
 
-    ``marks`` lists (row position, attribute, dim index): that row's
-    interval on that attribute equals ``[0, dims[dim] - 1]`` at capture
-    time and is re-instantiated from the new shapes on reuse.
+    Returns an int64 ``(row, attribute, dim)`` array: that row's interval
+    on that attribute (an index into ``key_cols + val_cols``) equals
+    ``[0, dims[dim] - 1]`` of the flattened ``in_shapes``, and is
+    re-instantiated from new shapes on reuse. Each interval is marked
+    with the first dim whose extent it equals. Only absolute intervals
+    are candidates: a value attribute stored relative to a key
+    (``rep != 0``) holds a delta, never an extent.
     """
+    attrs = schema.key_cols + schema.val_cols
+    at = cdf.columns.get_indexer
+    m = cdf.to_numpy(np.int64)
+    hi_v = m[:, at([rg.hi(a) for a in attrs])]
+    absolute = m[:, at([rg.lo(a) for a in attrs])] == 0
+    absolute[:, schema.n_key :] &= m[:, at([rg.rep(v) for v in schema.val_cols])] == 0
+    dim = np.full(hi_v.shape, -1, dtype=np.int64)
+    for di, d in reversed(list(enumerate(_flat_dims(in_shapes)))):
+        dim[absolute & (hi_v == d - 1)] = di
+    row, attr = np.nonzero(dim >= 0)
+    return np.column_stack([row, attr, dim[row, attr]]).astype(np.int64)
 
-    template: pd.DataFrame
-    schema: LineageSchema
-    marks: list[tuple[int, str, int]]
-    captured_shapes: Shapes
 
+def instantiate(
+    cdf: pd.DataFrame, schema: LineageSchema, marks: np.ndarray, in_shapes: Shapes
+) -> pd.DataFrame:
+    """``cdf`` with each marked interval's ``hi`` set from ``in_shapes``.
 
-def generalize(cdf: pd.DataFrame, schema: LineageSchema, in_shapes: Shapes) -> GeneralizedTable:
-    """Index reshaping (paper Fig 6): symbolize full-extent intervals.
-
-    Only absolute intervals are candidates: a value attribute stored
-    relative to a key (``rep != 0``) holds a delta, never an extent.
-    Each interval is marked with the first dim whose extent it equals.
+    Returns ``cdf`` itself when no value changes; otherwise a new table
+    held as one int64 block, the layout ``provrc.finalize`` builds and the
+    θ-join reads. Raises ``ValueError`` for a mark on an empty axis.
     """
-    cdf = cdf.reset_index(drop=True)
-    dims = _flat_dims(in_shapes)
-    marks: list[tuple[int, str, int]] = []
-    for a in schema.key_cols + schema.val_cols:
-        todo = (cdf[rg.lo(a)] == 0).to_numpy()
-        if a in schema.val_cols:
-            todo &= (cdf[rg.rep(a)] == 0).to_numpy()
-        hi_v = cdf[rg.hi(a)].to_numpy()
-        for di, d in enumerate(dims):
-            hit = todo & (hi_v == d - 1)
-            marks += [(int(pos), a, di) for pos in np.flatnonzero(hit)]
-            todo &= ~hit
-    return GeneralizedTable(
-        template=cdf.copy(),
-        schema=schema,
-        marks=marks,
-        captured_shapes=tuple(tuple(s) for s in in_shapes),
-    )
-
-
-def instantiate(gen: GeneralizedTable, in_shapes: Shapes) -> pd.DataFrame:
-    """Rebuild a concrete compressed table for new input shapes."""
-    dims = _flat_dims(in_shapes)
-    old_dims = _flat_dims(gen.captured_shapes)
-    if len(dims) != len(old_dims):
-        raise ValueError("axis count mismatch")
-    if any(dims[di] < 1 for _, _, di in gen.marks):
+    row, attr, dim = marks.T
+    new_hi = _flat_dims(in_shapes)[dim] - 1
+    if (new_hi < 0).any():
         raise ValueError("full-extent interval on an empty axis")
-    out = gen.template.copy()
-    for pos, a, di in gen.marks:
-        out.loc[pos, rg.hi(a)] = dims[di] - 1
-    return out
+    col = cdf.columns.get_indexer([rg.hi(a) for a in schema.key_cols + schema.val_cols])[attr]
+    m = cdf.to_numpy(np.int64).T
+    if np.array_equal(m[col, row], new_hi):
+        return cdf
+    m = m.copy()
+    m[col, row] = new_hi
+    return pd.DataFrame(m.T, columns=cdf.columns)
 
 
 @dataclass
-class _SigState:
+class _Signature:
+    """One mapping: the first call's tables, their marks, shapes, status."""
+
+    tables: list[Table]
+    marks: list[np.ndarray]
+    shapes: Shapes
     status: str = "pending"  # pending | permanent | blocked
-    stored: list = field(default_factory=list)  # per-input payloads
-    shapes: Shapes | None = None
+
+    def instantiate(self, shapes: Shapes) -> list[Table]:
+        if [len(s) for s in shapes] != [len(s) for s in self.shapes]:
+            raise ValueError("axis count mismatch")
+        return [
+            (instantiate(cdf, schema, marks, shapes), schema)
+            for (cdf, schema), marks in zip(self.tables, self.marks)
+        ]
+
+    def matches(self, shapes: Shapes, tables: list[Table]) -> bool:
+        """Whether the instantiation at ``shapes`` is the captured lineage;
+        one that cannot be built or expanded is not."""
+        if len(tables) != len(self.tables):
+            return False
+        try:
+            predicted = self.instantiate(shapes)
+            return all(
+                ps == schema
+                and (p.equals(cdf) or provrc.decompress(p, ps).equals(provrc.decompress(cdf, schema)))
+                for (p, ps), (cdf, schema) in zip(predicted, tables)
+            )
+        except (ValueError, KeyError):
+            return False
 
 
 @dataclass
@@ -121,8 +141,13 @@ class ReuseIndex:
     """Automatic reuse prediction over repeated register_operation calls."""
 
     def __init__(self):
-        self._dim: dict[tuple, _SigState] = {}
-        self._gen: dict[tuple, _SigState] = {}
+        self._sigs: dict[tuple, _Signature] = {}
+
+    @staticmethod
+    def _keys(op_name: str, op_args: tuple, in_shapes: Shapes):
+        """dim_sig's key, then gen_sig's, each with whether a confirming
+        call must have different shapes (gen_sig only, as in the paper)."""
+        return [((op_name, op_args, in_shapes), False), ((op_name, op_args), True)]
 
     def observe(
         self,
@@ -138,76 +163,33 @@ class ReuseIndex:
         mapping's status and the error flag for the evaluation harness.
         """
         in_shapes = tuple(tuple(s) for s in in_shapes)
-        dim_status, dim_error = self._observe_dim(op_name, op_args, in_shapes, tables)
-        gen_status, gen_error = self._observe_gen(op_name, op_args, in_shapes, tables)
-        return ObserveResult(dim_status, gen_status, dim_error or gen_error)
+        statuses, error, marks = [], False, None
+        for key, needs_new_shapes in self._keys(op_name, op_args, in_shapes):
+            sig = self._sigs.get(key)
+            if sig is None:
+                if marks is None:
+                    marks = [generalize(cdf, schema, in_shapes) for cdf, schema in tables]
+                sig = self._sigs[key] = _Signature(list(tables), marks, in_shapes)
+            elif sig.status == "permanent":
+                error |= not sig.matches(in_shapes, tables)
+            elif sig.status == "pending" and not (needs_new_shapes and in_shapes == sig.shapes):
+                sig.status = "permanent" if sig.matches(in_shapes, tables) else "blocked"
+            statuses.append(sig.status)
+        return ObserveResult(*statuses, error)
 
     def predict(self, op_name: str, op_args: tuple, in_shapes: Shapes) -> list[Table] | None:
         """Compressed lineage for a call, from a permanent mapping, or None.
 
-        dim_sig (same shapes) is tried first and returns the stored
-        tables themselves (no caller mutates a finalized table), then
-        gen_sig, whose stored tables are re-instantiated for ``in_shapes``.
+        dim_sig (same shapes) is tried first, then gen_sig; the first
+        permanent one's tables are instantiated for ``in_shapes`` (no
+        caller mutates a finalized table, so they may be the stored ones).
         """
         in_shapes = tuple(tuple(s) for s in in_shapes)
-        st = self._dim.get((op_name, op_args, in_shapes))
-        if st is not None and st.status == "permanent":
-            return list(st.stored)
-        st = self._gen.get((op_name, op_args))
-        if st is not None and st.status == "permanent":
-            try:
-                return [(instantiate(g, in_shapes), g.schema) for g in st.stored]
-            except ValueError:
-                return None
+        for key, _ in self._keys(op_name, op_args, in_shapes):
+            sig = self._sigs.get(key)
+            if sig is not None and sig.status == "permanent":
+                try:
+                    return sig.instantiate(in_shapes)
+                except ValueError:
+                    return None
         return None
-
-    # -- dim_sig ---------------------------------------------------------
-    def _observe_dim(self, op, args, shapes, tables):
-        key = (op, args, shapes)
-        st = self._dim.get(key)
-        if st is None:
-            self._dim[key] = _SigState(stored=list(tables))
-            return "pending", False
-        if st.status == "blocked":
-            return "blocked", False
-        match = len(st.stored) == len(tables) and all(
-            sa == sb and a.equals(b) for (a, sa), (b, sb) in zip(st.stored, tables)
-        )
-        if st.status == "permanent":
-            return "permanent", not match
-        st.status = "permanent" if match else "blocked"
-        return st.status, False
-
-    # -- gen_sig ---------------------------------------------------------
-    def _observe_gen(self, op, args, shapes, tables):
-        key = (op, args)
-        st = self._gen.get(key)
-        if st is None:
-            gens = [generalize(t, schema, shapes) for t, schema in tables]
-            self._gen[key] = _SigState(stored=gens, shapes=shapes)
-            return "pending", False
-        if st.status == "blocked":
-            return "blocked", False
-        if st.status == "pending" and shapes == st.shapes:
-            # The paper requires confirming calls with *different* shapes.
-            return "pending", False
-        match = self._gen_matches(st.stored, shapes, tables)
-        if st.status == "permanent":
-            return "permanent", not match
-        st.status = "permanent" if match else "blocked"
-        return st.status, False
-
-    @staticmethod
-    def _gen_matches(gens: list[GeneralizedTable], shapes, tables) -> bool:
-        if len(gens) != len(tables):
-            return False
-        for gen, (table, schema) in zip(gens, tables):
-            if schema != gen.schema:
-                return False
-            try:
-                predicted = provrc.decompress(instantiate(gen, shapes), gen.schema)
-            except (ValueError, KeyError):
-                return False
-            if not predicted.equals(provrc.decompress(table, schema)):
-                return False
-        return True

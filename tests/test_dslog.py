@@ -151,3 +151,51 @@ def test_reuse_never_instantiates_an_empty_axis():
     cap = CapturedLineage(out_shape=(0, 6), in_shapes=((0, 4), (4, 6)), relations=[empty] * 2)
     log.register_operation("matmul", ["e_in0", "e_in1"], ["e_out"], lambda: cap, mm.op_args, reuse=True)
     assert (log.capture_calls, log.reuse_hits) == (3, 0)
+
+
+@pytest.mark.parametrize("path", [[], ["X"]], ids=["empty", "one-array"])
+def test_prov_query_refuses_a_path_of_fewer_than_two_arrays(path):
+    log = DSLog()
+    log.array("X", (3,))
+    with pytest.raises(ValueError, match="at least two arrays"):
+        log.prov_query(path, pd.DataFrame({"c0": [1]}))
+
+
+def test_reuse_index_stores_the_tables_the_edges_hold():
+    """Every table a reuse signature keeps is an edge's table itself."""
+    log = DSLog()
+    sums, mm = nops.OPS["sum"], nops.OPS["matmul"]
+    for seed, (spec, shapes) in enumerate(
+        [(sums, sums.default_shapes)] * 3 + [(mm, mm.default_shapes), (mm, mm.alt_shapes), (mm, ((5, 4), (4, 6)))]
+    ):
+        _register(log, spec, shapes, seed, f"t{seed}")
+    assert log.reuse_hits == 2
+    edge_tables = [edge.backward for edge in log._edges.values()]
+    stored = [cdf for sig in log._reuse._sigs.values() for cdf, _ in sig.tables]
+    # sum: one table under its dim and gen keys; matmul: two tables under
+    # each of its two dim keys and its gen key.
+    assert len(stored) == 1 + 1 + 2 + 2 + 2
+    assert all(any(cdf is t for t in edge_tables) for cdf in stored)
+
+
+def test_register_retains_the_table_once():
+    """Registering a 300x300 sort (an 89,138-row table, incompressible)
+    retains that table once, plus its reuse signature's small marks."""
+    spec = nops.OPS["sort"]
+    shapes = ((300, 300),)
+    cap = spec.capture(shapes, np.random.default_rng(0))
+    log = DSLog()
+    log.array("X", shapes[0])
+    log.array("Y", cap.out_shape)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log.register_operation("sort", ["X"], ["Y"], lambda: cap, spec.op_args)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    table = log._edges[("X", "Y")].backward
+    assert len(table) > 80_000
+    assert retained <= table.memory_usage(index=False).sum() + 2**20

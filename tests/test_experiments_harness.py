@@ -65,6 +65,30 @@ class TestLatencyHarness:
         assert set(df["system"]) == set(latency.SYSTEMS)
         assert (df["seconds"] > 0).all()
 
+    @pytest.mark.parametrize("tamper", ["drop", "corrupt"])
+    def test_agrees_compares_cells_not_counts(self, tmp_path, monkeypatch, tamper):
+        """One system missing a cell, or answering one wrong cell with the
+        right count, disagrees with the first system's answer."""
+        run_one = latency.run_one
+
+        def tampered(system, *args):
+            secs, cells = run_one(system, *args)
+            if system == "Parquet":
+                cells = cells.iloc[1:].copy() if tamper == "drop" else cells.copy()
+                if tamper == "corrupt":
+                    cells.iloc[0, -1] += 10**6
+            return secs, cells
+
+        monkeypatch.setattr(latency, "run_one", tampered)
+        df = latency.run_latency(
+            tmp_path, n_ops=2, shape=(50, 8), query_rows=(3,), seed=5,
+            systems=["DSLog", "Raw", "Parquet", "Array"],
+        )
+        by = df.set_index("system")
+        assert by["agrees"].tolist() == [True, True, False, True]
+        same_count = by.loc["Parquet", "result_cells"] == by.loc["DSLog", "result_cells"]
+        assert same_count == (tamper == "corrupt")
+
     def test_query_block_shape(self):
         q = latency.make_query((100, 7), 4, seed=0)
         assert len(q) == 4 * 7

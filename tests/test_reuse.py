@@ -10,7 +10,16 @@ from repro.capture import patterns as pt
 from repro.core import provrc
 from repro.core.model import backward_schema, backward_schema_of
 from repro.core.ranges import hi, lo, rep
+from repro.experiments import table9
 from repro.reuse.signatures import ReuseIndex, generalize, instantiate
+
+# The 34 complex ops for which no gen_sig mapping is promoted in Table IX.
+NO_GEN_SIG = [
+    "concatenate", "convolve", "correlate", "cumprod", "cumsum", "diff", "flip", "fliplr",
+    "flipud", "gradient", "hstack", "kron", "max", "median", "min", "nancumprod", "nancumsum",
+    "nanmax", "nanmedian", "nanmin", "pad", "partition", "ptp", "ravel", "repeat", "reshape",
+    "roll", "rot90", "sort", "tile", "trace", "tril", "triu", "vstack",
+]
 
 
 class TestIndexReshaping:
@@ -19,17 +28,18 @@ class TestIndexReshaping:
         schema = backward_schema(1, 1)
         rel2 = pt.reduce_all((2,))
         cdf2 = provrc.compress(rel2, schema)
-        gen = generalize(cdf2, schema, ((2,),))
-        cdf4 = instantiate(gen, ((4,),))
+        marks = generalize(cdf2, schema, ((2,),))
+        assert instantiate(cdf2, schema, marks, ((2,),)) is cdf2  # nothing changes
+        cdf4 = instantiate(cdf2, schema, marks, ((4,),))
         got = provrc.decompress(cdf4, schema)
         want = pt.reduce_all((4,)).sort_values(["b0", "a0"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
     def test_elementwise_extrapolates(self):
         schema = backward_schema(2, 2)
-        rel = pt.identity((6, 5))
-        gen = generalize(provrc.compress(rel, schema), schema, ((6, 5),))
-        got = provrc.decompress(instantiate(gen, ((9, 3),)), schema)
+        cdf = provrc.compress(pt.identity((6, 5)), schema)
+        marks = generalize(cdf, schema, ((6, 5),))
+        got = provrc.decompress(instantiate(cdf, schema, marks, ((9, 3),)), schema)
         want = (
             pt.identity((9, 3))
             .sort_values(["b0", "b1", "a0", "a1"])
@@ -40,8 +50,9 @@ class TestIndexReshaping:
     def test_matmul_extrapolates(self):
         schema = backward_schema(2, 2)
         rel, _ = pt.matmul(4, 3, 5)
-        gen = generalize(provrc.compress(rel, schema), schema, ((4, 3), (3, 5)))
-        got = provrc.decompress(instantiate(gen, ((6, 2), (2, 3))), schema)
+        cdf = provrc.compress(rel, schema)
+        marks = generalize(cdf, schema, ((4, 3), (3, 5)))
+        got = provrc.decompress(instantiate(cdf, schema, marks, ((6, 2), (2, 3))), schema)
         want_rel, _ = pt.matmul(6, 2, 3)
         want = want_rel.sort_values(["b0", "b1", "a0", "a1"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
@@ -58,10 +69,11 @@ class TestIndexReshaping:
         assert len(cdf) == 1
         r = cdf.iloc[0]
         assert r[rep("a0")] == 1 and (r[lo("a0")], r[hi("a0")]) == (0, 2)
-        gen = generalize(cdf, schema, ((6, 3),))
-        # Only the absolute a1 = [0, 2] matches a dim (3); a0's delta,
-        # equal to [0, 3 - 1], stays fixed.
-        assert gen.marks == [(0, "a1", 1)]
+        marks = generalize(cdf, schema, ((6, 3),))
+        # Only the absolute a1 = [0, 2] (row 0, attribute 2 of b0, a0,
+        # a1) matches a dim (3, dim 1); a0's delta, equal to [0, 3 - 1],
+        # stays fixed.
+        assert marks.tolist() == [[0, 2, 1]]
 
     def test_reshape_does_not_extrapolate(self):
         """Flat-index arithmetic is shape-coupled; gen must fail to match."""
@@ -70,9 +82,10 @@ class TestIndexReshaping:
         cap_a = spec.capture(spec.default_shapes, g)
         rel_a = cap_a.relation(0)
         schema = backward_schema(1, 2)
-        gen = generalize(provrc.compress(rel_a, schema), schema, spec.default_shapes)
+        cdf = provrc.compress(rel_a, schema)
+        marks = generalize(cdf, schema, spec.default_shapes)
         cap_b = spec.capture(spec.alt_shapes, g)
-        got = provrc.decompress(instantiate(gen, spec.alt_shapes), schema)
+        got = provrc.decompress(instantiate(cdf, schema, marks, spec.alt_shapes), schema)
         want = (
             cap_b.relation(0)
             .sort_values(["b0", "a0", "a1"])
@@ -156,3 +169,17 @@ class TestReusePredictor:
         # 2-vector cross: different lineage pattern -> misprediction.
         r3 = self._run(idx, spec, ((5, 2), (5, 2)), 2)
         assert r3.error
+
+
+def test_table9_reuse_verdicts():
+    """Table IX's reuse columns over all 136 ops (20 runs each). The
+    ``provrc`` column is not pinned: it moves with the file format."""
+    df = table9.run_table9()
+    assert len(df) == 136
+    complex_ops = df[df["category"] == "complex"]
+    assert sorted(complex_ops.loc[~complex_ops["dim_sig"], "op"]) == [
+        "max", "median", "min", "nanmax", "nanmedian", "nanmin", "partition", "ptp", "sort",
+    ]
+    assert sorted(complex_ops.loc[~complex_ops["gen_sig"], "op"]) == NO_GEN_SIG
+    assert df[df["category"] == "element"][["dim_sig", "gen_sig"]].all().all()
+    assert df.loc[df["error"], "op"].tolist() == ["cross"]

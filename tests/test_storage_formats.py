@@ -4,16 +4,10 @@ import re
 
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
-from repro.baselines.formats import (
-    read_array,
-    read_parquet,
-    read_raw,
-    write_array,
-    write_parquet,
-    write_raw,
-)
+from repro.baselines.formats import read_array, write_array, write_parquet, write_raw
 from repro.baselines.turborc import read_turborc, write_turborc
 from repro.capture import patterns as pt
 from repro.core import provrc, storage
@@ -45,20 +39,20 @@ class TestBaselineRoundTrips:
         p = tmp_path / "r.csv"
         size = write_raw(elementwise_rel, p)
         assert size > 0
-        back = read_raw(p)
+        back = pd.read_csv(p)
         pd.testing.assert_frame_equal(back, elementwise_rel, check_dtype=False)
 
     def test_array_npy(self, tmp_path, elementwise_rel):
         p = tmp_path / "r.npy"
         write_array(elementwise_rel, p)
-        back = read_array(p, columns=list(elementwise_rel.columns))
+        back = read_array(p).set_axis(elementwise_rel.columns, axis=1)
         pd.testing.assert_frame_equal(back, elementwise_rel, check_dtype=False)
 
     @pytest.mark.parametrize("codec", ["snappy", "gzip"])
     def test_parquet(self, tmp_path, elementwise_rel, codec):
         p = tmp_path / "r.parquet"
         write_parquet(elementwise_rel, p, codec=codec)
-        back = read_parquet(p)
+        back = pq.read_table(p).to_pandas()
         pd.testing.assert_frame_equal(back, elementwise_rel, check_dtype=False)
 
     def test_turborc(self, tmp_path, elementwise_rel, random_rel):
@@ -67,6 +61,22 @@ class TestBaselineRoundTrips:
             write_turborc(rel, p)
             back = read_turborc(p)
             pd.testing.assert_frame_equal(back, rel, check_dtype=False)
+
+    def test_turborc_roundtrips_the_widest_deltas(self, tmp_path):
+        """A zigzagged delta fills the int32 stream at -2**30 and 2**30 - 1."""
+        rel = pd.DataFrame({"c": [0, 2**30 - 1, -1, -(2**30) - 1, -2]})
+        write_turborc(rel, tmp_path / "w.trc")
+        pd.testing.assert_frame_equal(read_turborc(tmp_path / "w.trc"), rel)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0, 2**30], [0, 2**31], [5, -(2**31)], [2**30], [-(2**30) - 1]],
+        ids=["delta-2^30", "delta-2^31", "delta-below-int32", "first-value", "first-negative"],
+    )
+    def test_turborc_refuses_values_its_streams_cannot_hold(self, tmp_path, values):
+        rel = pd.DataFrame({"a0": [0] * len(values), "b1": values})
+        with pytest.raises(ValueError, match="column b1 does not fit int32"):
+            write_turborc(rel, tmp_path / "x.trc")
 
 
 class TestProvRCStorage:

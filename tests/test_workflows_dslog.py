@@ -23,6 +23,20 @@ from repro.workflows.kaggle_sim import (
 )
 
 
+def _ground_truth_cells(steps, q_cells):
+    """The cells of the last array that ``q_cells`` of the first feed,
+    by equality joins over the uncompressed relations, sorted."""
+    cur = q_cells.set_axis([f"x{i}" for i in range(q_cells.shape[1])], axis=1)
+    for s in steps:
+        j = cur.merge(
+            s.relation, left_on=list(cur.columns), right_on=[f"a{i}" for i in range(len(s.in_shape))]
+        )
+        cur = j[[f"b{i}" for i in range(len(s.out_shape))]].drop_duplicates()
+        cur.columns = [f"x{i}" for i in range(len(s.out_shape))]
+    cur.columns = [f"b{i}" for i in range(cur.shape[1])]
+    return cur.sort_values(list(cur.columns)).reset_index(drop=True)
+
+
 class TestPipelines:
     def test_image_pipeline_shapes_chain(self):
         steps = image_pipeline(60, 80, target=52, lime_block=13)
@@ -50,12 +64,15 @@ class TestPipelines:
         for a, b in zip(steps, steps[1:]):
             assert a.out_shape == b.in_shape
         tables = compress_pipeline(steps)
-        q = provrc.encode_query(pd.DataFrame({"a0": [5], "a1": [1]}), ["a0", "a1"])
+        q_cells = pd.DataFrame({"a0": [5], "a1": [1]})
+        q = provrc.encode_query(q_cells, ["a0", "a1"])
         out = chain_query(q, tables)
         cells = intervals_to_cells(out, ["b0", "b1"])
         # Cell (5, 1) of the base table feeds the joined rows' col 1, the
         # derived sum column, and survives the remaining steps.
-        assert len(cells) >= 0  # smoke: full equivalence below
+        want = _ground_truth_cells(steps, q_cells)
+        assert len(want) > 0
+        pd.testing.assert_frame_equal(cells, want, check_dtype=False)
 
     def test_relational_pipeline_matches_ground_truth(self):
         steps = relational_pipeline(200, 300, seed=2)
@@ -63,20 +80,7 @@ class TestPipelines:
         q_cells = pd.DataFrame({"a0": [3, 7], "a1": [1, 2]})
         q = provrc.encode_query(q_cells, ["a0", "a1"])
         got = intervals_to_cells(chain_query(q, tables), ["b0", "b1"])
-        cur = q_cells.rename(columns={"a0": "x0", "a1": "x1"})
-        for s in steps:
-            j = cur.merge(
-                s.relation, left_on=["x0", "x1"][: len(s.in_shape)], right_on=[f"a{i}" for i in range(len(s.in_shape))]
-            )
-            cur = (
-                j[[f"b{i}" for i in range(len(s.out_shape))]]
-                .drop_duplicates()
-                .reset_index(drop=True)
-            )
-            cur.columns = [f"x{i}" for i in range(len(s.out_shape))]
-        want = cur.sort_values(list(cur.columns)).reset_index(drop=True)
-        want.columns = ["b0", "b1"]
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        pd.testing.assert_frame_equal(got, _ground_truth_cells(steps, q_cells), check_dtype=False)
 
     def test_resnet_pipeline(self):
         steps = resnet_pipeline(20, 20)
